@@ -3,7 +3,6 @@
 use crate::degradation::DegradationPolicy;
 use crate::state::PriceBump;
 use crate::topk::TopkEncoding;
-use pretium_lp::Pricing;
 
 /// Which past window the price computer projects forward (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,10 +142,6 @@ pub struct PretiumConfig {
     /// (§4.4): shed lowest-λ guarantees first, then relax the last one,
     /// booking every waiver in the violation ledger.
     pub degradation: DegradationPolicy,
-    /// Simplex pricing strategy for every LP Pretium solves (RA quotes,
-    /// SAM re-optimization, PC dual pricing). Deterministic given the
-    /// model, so any choice preserves the cross-`--jobs` replay contract.
-    pub pricing: Pricing,
     /// Incremental SAM re-optimization on localized changes (DESIGN.md
     /// §16). Off by default: the full warm re-solve is the reference
     /// behavior, and every recorded experiment uses it unless stated.
@@ -196,7 +191,6 @@ impl Default for PretiumConfig {
             initial_price_scale: 1.0,
             audit: false,
             degradation: DegradationPolicy::ShedThenRelax,
-            pricing: Pricing::default(),
             incremental_sam: IncrementalSam::Off,
             sam_full_every: 16,
             colgen: ColumnGen::Off,
@@ -220,7 +214,6 @@ mod tests {
         // Release-build auditing is opt-in (debug builds always audit).
         assert!(!c.audit);
         assert_eq!(c.degradation, DegradationPolicy::ShedThenRelax);
-        assert_eq!(c.pricing, Pricing::PartialDevex);
         // Incremental SAM is opt-in; the drift guard defaults to a full
         // re-solve every 16 steps when it is on.
         assert_eq!(c.incremental_sam, IncrementalSam::Off);

@@ -169,14 +169,18 @@ impl PriceMenu {
 /// `state`. Does not mutate the state: hypothetical fills are tracked in a
 /// local ledger so the short-term price bump (§4.1) applies *within* the
 /// menu as well (buying deep into a link's capacity raises later segments).
+/// A window that is empty within the horizon (`start > deadline`) gets the
+/// empty menu.
 pub fn build_menu(
     state: &NetworkState,
     paths: &[Path],
     start: Timestep,
     deadline: Timestep,
 ) -> PriceMenu {
-    assert!(start <= deadline, "empty request window");
     let deadline = deadline.min(state.horizon().saturating_sub(1));
+    if start > deadline {
+        return PriceMenu::default();
+    }
     // Local hypothetical reservations on top of the state.
     let mut extra: HashMap<(EdgeId, Timestep), f64> = HashMap::default();
     let marginal = |state: &NetworkState,

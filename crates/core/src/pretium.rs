@@ -291,14 +291,11 @@ impl Pretium {
         self.fault_windows.contains(&w)
     }
 
-    /// Solve options carrying the configured pricing strategy (PC and any
+    /// Solve options carrying the configured solver tuning (PC and any
     /// other uncapped LP).
-    fn pricing_opts(&self) -> SolveOptions {
+    fn solver_opts(&self) -> SolveOptions {
         SolveOptions {
-            simplex: Some(SimplexOptions {
-                pricing: self.cfg.pricing,
-                ..SimplexOptions::default()
-            }),
+            simplex: Some(SimplexOptions::default()),
             tuning: SolverTuning {
                 max_etas: self.cfg.max_etas,
                 pricing_jobs: self.cfg.pricing_jobs,
@@ -308,12 +305,12 @@ impl Pretium {
         }
     }
 
-    /// SAM's solve options: the pricing strategy plus, when the
+    /// SAM's solve options: the shared solver tuning plus, when the
     /// solver-pressure fault is injected, the iteration cap.
     fn sam_opts(&self) -> SolveOptions {
-        let mut o = self.pricing_opts();
+        let mut o = self.solver_opts();
         if let Some(limit) = self.solver_pressure {
-            o.simplex.as_mut().expect("pricing_opts sets simplex").max_iterations = limit;
+            o.simplex.as_mut().expect("solver_opts sets simplex").max_iterations = limit;
         }
         o
     }
@@ -376,10 +373,12 @@ impl Pretium {
     /// payment `p(units)` is locked in, and the marginal price becomes the
     /// contract's value proxy `λ`.
     ///
+    /// `units` above the request's demand is clamped to the demand.
     /// Returns `None` when `units` is zero/negative (customer walked
-    /// away), no route exists, or the menu cannot back a single unit — an
-    /// empty menu has no finite price for any quantity, so booking it
-    /// would record `payment = λ = ∞` and poison every downstream sum.
+    /// away) or not finite, no route exists, or the menu cannot back a
+    /// single unit — an empty menu has no finite price for any quantity,
+    /// so booking it would record `payment = λ = ∞` and poison every
+    /// downstream sum.
     pub fn accept(
         &mut self,
         params: &RequestParams,
@@ -387,6 +386,8 @@ impl Pretium {
         units: f64,
     ) -> Option<ContractId> {
         let t0 = Instant::now();
+        // Finiteness first: `f64::min` would turn a NaN into the demand.
+        let units = if units.is_finite() { units.min(params.demand) } else { 0.0 };
         if units <= 1e-9 || menu.capacity_bound() <= 1e-9 {
             self.telemetry.accepts_rejected += 1;
             self.telemetry.accept.record(t0.elapsed());
@@ -525,7 +526,7 @@ impl Pretium {
                 carry.push_contract(i);
             }
         }
-        // Configured pricing strategy, plus the solver-pressure iteration
+        // Configured solver tuning, plus the solver-pressure iteration
         // cap when that fault (§4.4) is injected.
         let opts = self.sam_opts();
         let lp_before = carry.sess.lp_stats();
@@ -875,7 +876,7 @@ impl Pretium {
             topk: self.cfg.topk,
             cost_scale: self.cfg.cost_scale,
         };
-        let sol = schedule::solve_with(&problem, &self.pricing_opts())?;
+        let sol = schedule::solve_with(&problem, &self.solver_opts())?;
         self.lp_stats.merge(sol.lp_stats);
         self.telemetry.lp_iterations += sol.lp_stats.iterations;
         self.telemetry.lp_pricing_scans += sol.lp_stats.pricing_scans;

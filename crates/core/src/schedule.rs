@@ -315,8 +315,8 @@ pub fn solve(problem: &ScheduleProblem<'_>) -> Result<ScheduleSolution, SolveErr
     solve_with(problem, &SolveOptions::default())
 }
 
-/// Like [`solve`] but with explicit solver options (e.g. a pricing
-/// strategy from [`crate::PretiumConfig::pricing`]).
+/// Like [`solve`] but with explicit solver options (e.g. the solver
+/// tuning from [`crate::PretiumConfig::pricing_jobs`]).
 pub fn solve_with(
     problem: &ScheduleProblem<'_>,
     opts: &SolveOptions,

@@ -320,3 +320,62 @@ fn superseded_snapshot_quotes_drain_on_drop() {
     pretium.set_price(e, 0, 2.0);
     assert_eq!(pretium.telemetry().quote.calls, 3);
 }
+
+/// One A -> B link of capacity 10 per step over `steps` steps, flat
+/// prices, no high-priority reserve.
+fn one_link(steps: usize) -> Pretium {
+    let mut net = Network::new();
+    let a = net.add_node("A", Region::NorthAmerica);
+    let b = net.add_node("B", Region::NorthAmerica);
+    net.add_edge(a, b, 10.0, LinkCost::owned());
+    let cfg = PretiumConfig {
+        highpri_fraction: 0.0,
+        bump: PriceBump::disabled(),
+        k_paths: 1,
+        ..Default::default()
+    };
+    Pretium::new(net, TimeGrid::new(steps, 30), steps, cfg)
+}
+
+/// A NaN or infinite purchase from the customer's `respond` callback is
+/// rejected and counted, never booked against the whole capacity bound.
+#[test]
+fn non_finite_purchase_is_rejected() {
+    for units in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut pretium = one_link(4);
+        let (menu, id) = pretium.admit_one(&params(0, 0, 1, 5.0, 0, 3), |_| units);
+        assert!(!menu.is_empty());
+        assert!(id.is_none(), "{units} units were booked");
+        assert!(pretium.contracts().is_empty());
+        assert_eq!(pretium.telemetry().accepts_rejected, 1, "{units}");
+    }
+}
+
+/// A purchase above the request's demand books the demand; a request with
+/// no positive demand books nothing and counts as rejected.
+#[test]
+fn purchase_is_clamped_to_demand() {
+    let mut pretium = one_link(4);
+    let (_, id) = pretium.admit_one(&params(0, 0, 1, 5.0, 0, 3), |_| 8.0);
+    let c = pretium.contract(id.expect("admitted"));
+    assert_eq!(c.purchased, 5.0);
+    assert_eq!(c.guaranteed, 5.0);
+    let (_, id) = pretium.admit_one(&params(1, 0, 1, 0.0, 0, 3), |_| 8.0);
+    assert!(id.is_none());
+    assert_eq!(pretium.contracts().len(), 1);
+    assert_eq!(pretium.telemetry().accepts_rejected, 1);
+}
+
+/// A request whose window is empty — `start > deadline`, or a start past
+/// the horizon — gets the empty menu, and accepting off it is rejected.
+#[test]
+fn empty_request_window_quotes_empty_menu() {
+    for (start, deadline) in [(3, 1), (6, 8)] {
+        let mut pretium = one_link(4);
+        let (menu, id) = pretium.admit_one(&params(0, 0, 1, 5.0, start, deadline), |_| 5.0);
+        assert!(menu.is_empty(), "window {start}..={deadline}");
+        assert!(id.is_none());
+        assert_eq!(pretium.telemetry().accepts_rejected, 1);
+        assert_eq!(pretium.telemetry().quotes_empty, 1);
+    }
+}

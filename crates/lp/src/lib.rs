@@ -18,15 +18,14 @@
 //!   simplex after RHS/bound changes or appended rows, cold only when the
 //!   basis cannot be reused. [`Model::solve`] remains as a one-shot
 //!   convenience.
-//! * [`simplex`] — bounded-variable revised simplex: sparse
-//!   triangular-plus-bump `LU` basis factorization with a product-form eta
-//!   file, crash basis, two phases, and a bounded-variable dual simplex for
-//!   warm restarts. Pricing is selectable via [`SimplexOptions::pricing`]:
-//!   classic full-scan Dantzig, Devex reference-framework weights over
-//!   incrementally maintained reduced costs, or (the default) partial Devex
-//!   with a cyclic candidate list so a pivot prices O(section + candidates)
-//!   columns instead of O(n). A Bland's-rule anti-cycling fallback guards
-//!   every strategy.
+//! * [`simplex`] — bounded-variable revised simplex: sparse `LU` basis
+//!   factorization with Markowitz pivoting and Forrest–Tomlin updates,
+//!   crash basis, two phases, and a bounded-variable dual simplex for warm
+//!   restarts. Pricing is partial Devex: reference-framework weights over
+//!   incrementally maintained reduced costs with a cyclic candidate list,
+//!   so a pivot prices O(section + candidates) columns instead of O(n). A
+//!   Bland's-rule anti-cycling fallback takes over after a run of
+//!   degenerate pivots.
 //! * [`lazy`] — symmetric generation oracles. A [`RowGen`] separates rows a
 //!   tentative optimum violates (the schedule LPs have `|E|·T` capacity
 //!   rows of which only a few percent ever bind); a [`ColGen`] prices
@@ -93,5 +92,5 @@ pub use session::{
     Mutations, RestrictedOutcome, SessionStats, SolveOptions, SolverSession, SolverTuning,
 };
 pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
-pub use simplex::{Pricing, Restart, SimplexOptions};
+pub use simplex::{Restart, SimplexOptions};
 pub use solution::{Solution, SolveError, Status};

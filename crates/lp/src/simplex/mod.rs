@@ -21,30 +21,14 @@ use crate::model::{Cmp, Model, Sense};
 use crate::solution::{Solution, SolveError, Status};
 use basis::SparseCol;
 
-/// Entering-variable pricing strategy for the primal simplex.
-///
-/// Every strategy is a pure function of `(options, model)` — no clocks, no
-/// randomness — so solves stay bit-identical across processes and worker
-/// counts (the determinism contract of the parallel evaluation engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Textbook full pricing: recompute `y = c_B B⁻¹` and every nonbasic
-    /// reduced cost each iteration, enter the most negative. `O(n · nnz)`
-    /// per pivot; kept as the reference baseline.
-    Dantzig,
-    /// Incrementally maintained reduced costs (updated from the BTRAN'd
-    /// pivot row after each pivot) scored by Devex reference-framework
-    /// weights. Selection still considers every nonbasic column per pivot,
-    /// but reads the maintained `d[j]` instead of recomputing dot products.
-    Devex,
-    /// Devex weights plus cyclic partial pricing: column sections are
-    /// scanned in rotation to keep a shortlist of attractive candidates,
-    /// so one pivot prices `O(section + candidates)` columns.
-    #[default]
-    PartialDevex,
-}
-
 /// Tunable solver parameters.
+///
+/// Entering-variable pricing is fixed: partial Devex (reference-framework
+/// weights over incrementally maintained reduced costs, with cyclic
+/// section sweeps feeding a candidate shortlist) and a Bland's-rule
+/// fallback after [`SimplexOptions::bland_trigger`] degenerate pivots. It
+/// is a pure function of `(options, model)` — no clocks, no randomness —
+/// so solves stay bit-identical across processes and worker counts.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Primal feasibility tolerance (bound violations up to this are
@@ -61,15 +45,13 @@ pub struct SimplexOptions {
     pub refactor_every: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub bland_trigger: u32,
-    /// Entering-variable pricing strategy.
-    pub pricing: Pricing,
     /// Worker threads for the deterministic parallel-pricing layer: the
-    /// incremental strategies' reduced-cost recompute, Devex weight
-    /// refresh, and section sweeps fan out over `pretium-par`'s sectioned
-    /// map when this exceeds 1. Sections are fixed and size-derived, and
-    /// results reduce in section order, so any value produces bitwise the
-    /// same solve as the serial path (DESIGN.md §19). `0` and `1` both run
-    /// the exact serial code with no thread machinery.
+    /// reduced-cost recompute, Devex weight refresh, and partial-pricing
+    /// section sweeps fan out over `pretium-par`'s sectioned map when this
+    /// exceeds 1. Sections are fixed and size-derived, and results reduce
+    /// in section order, so any value produces bitwise the same solve as
+    /// the serial path (DESIGN.md §19). `0` and `1` both run the exact
+    /// serial code with no thread machinery.
     pub pricing_jobs: usize,
 }
 
@@ -82,7 +64,6 @@ impl Default for SimplexOptions {
             max_iterations: 0,
             refactor_every: basis::DEFAULT_MAX_ETAS,
             bland_trigger: 1000,
-            pricing: Pricing::default(),
             pricing_jobs: 1,
         }
     }

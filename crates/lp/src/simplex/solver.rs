@@ -7,7 +7,7 @@
 //! after a run of degenerate pivots.
 
 use super::basis::{FactorError, FactorStats, Factorization};
-use super::{Pricing, Problem, SimplexOptions};
+use super::{Problem, SimplexOptions};
 use crate::solution::SolveError;
 use pretium_par as par;
 use std::time::Instant;
@@ -99,7 +99,7 @@ struct State<'a> {
     degenerate_run: u32,
     w: Vec<f64>,
     y: Vec<f64>,
-    // --- incremental pricing state (Devex / PartialDevex) -----------------
+    // --- incremental pricing state ----------------------------------------
     /// Maintained reduced cost per column: exact after `reprice`, updated
     /// from the pivot row after each pivot. Basic entries are stale.
     d: Vec<f64>,
@@ -137,12 +137,11 @@ struct State<'a> {
 }
 
 /// Read-only view of the pricing state, small enough to hand to the
-/// sectioned parallel map: workers judge eligibility and Devex scores from
-/// shared slices only, never seeing the `&mut Problem` or the
-/// factorization the full [`State`] carries.
+/// sectioned parallel map: workers judge eligibility from shared slices
+/// only, never seeing the `&mut Problem` or the factorization the full
+/// [`State`] carries.
 struct PriceView<'b> {
     d: &'b [f64],
-    gamma: &'b [f64],
     pos_of: &'b [i32],
     nb: &'b [NbState],
     in_cands: &'b [bool],
@@ -487,7 +486,6 @@ impl<'a> State<'a> {
     fn view(&self) -> PriceView<'_> {
         PriceView {
             d: &self.d,
-            gamma: &self.gamma,
             pos_of: &self.pos_of,
             nb: &self.nb,
             in_cands: &self.in_cands,
@@ -558,42 +556,21 @@ impl<'a> State<'a> {
         var_name: &impl Fn(usize) -> String,
         row_name: &impl Fn(usize) -> String,
     ) -> Result<(), SolveError> {
-        // Devex / PartialDevex maintain `y` and `d` incrementally; Dantzig
-        // recomputes them from scratch every iteration (the baseline).
-        let incremental = self.opts.pricing != Pricing::Dantzig;
-        if incremental {
-            self.reprice(cost);
-        }
+        // `y` and `d` are maintained incrementally between full reprices.
+        self.reprice(cost);
         loop {
             if self.iterations >= self.max_iterations {
                 return Err(SolveError::IterationLimit { iterations: self.iterations });
             }
             if self.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
-                if incremental {
-                    // The refactor cadence doubles as the pricing drift guard.
-                    self.reprice(cost);
-                }
-            }
-            if !incremental {
-                // Simplex multipliers y = c_B B⁻¹.
-                self.cb.clear();
-                self.cb.extend(self.basis.iter().map(|&k| cost[k]));
-                let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
-                factor.btran(cb, y);
+                // The refactor cadence doubles as the pricing drift guard.
+                self.reprice(cost);
             }
             let bland = self.degenerate_run > self.opts.bland_trigger;
-            let picked = if bland {
-                self.price_bland(cost)
-            } else {
-                match self.opts.pricing {
-                    Pricing::Dantzig => self.price_dantzig(cost),
-                    Pricing::Devex => self.price_devex(),
-                    Pricing::PartialDevex => self.price_partial(),
-                }
-            };
+            let picked = if bland { self.price_bland() } else { self.price_partial() };
             let Some((j, d)) = picked else {
-                if incremental && !self.fresh {
+                if !self.fresh {
                     // Maintained reduced costs may have drifted since the
                     // last factorization: certify optimality against exact
                     // values before declaring this phase done. Terminates
@@ -640,12 +617,9 @@ impl<'a> State<'a> {
                     self.note_step(t);
                 }
                 Step::Pivot { t, position, to_upper } => {
-                    if incremental {
-                        // Needs the pre-pivot factorization, duals, and
-                        // basis bookkeeping: must run before any of the
-                        // updates below.
-                        self.pivot_update(j, position);
-                    }
+                    // Needs the pre-pivot factorization, duals, and basis
+                    // bookkeeping: must run before any of the updates below.
+                    self.pivot_update(j, position);
                     self.apply_step(j, sigma, t);
                     let entering_value = self.x[j] + sigma * t;
                     let leaving = self.basis[position];
@@ -661,9 +635,7 @@ impl<'a> State<'a> {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
                         self.refactor().map_err(|e| numerical(e, row_name))?;
-                        if incremental {
-                            self.reprice(cost);
-                        }
+                        self.reprice(cost);
                     }
                     self.note_step(t);
                 }
@@ -672,9 +644,9 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Full pricing reset for the incremental strategies: recompute
-    /// `y = c_B B⁻¹` and every reduced cost exactly, and reset the Devex
-    /// reference framework (all weights back to 1) and the candidate list.
+    /// Full pricing reset: recompute `y = c_B B⁻¹` and every reduced cost
+    /// exactly, and reset the Devex reference framework (all weights back
+    /// to 1) and the candidate list.
     ///
     /// With `pricing_jobs > 1` the reduced-cost recompute and the weight
     /// refresh fan out over the sectioned parallel map: each worker owns a
@@ -841,130 +813,20 @@ impl<'a> State<'a> {
         self.d[q] = 0.0;
     }
 
-    /// Bland's anti-cycling rule: the smallest-index eligible column. Under
-    /// Dantzig the reduced cost is recomputed from the fresh duals; the
-    /// incremental strategies judge on the maintained `d[j]` (the drift
-    /// guard in `iterate` re-certifies before declaring optimality).
-    fn price_bland(&mut self, cost: &[f64]) -> Option<(usize, f64)> {
-        let tol = self.opts.opt_tol;
-        let dantzig = self.opts.pricing == Pricing::Dantzig;
-        for (j, &cj) in cost.iter().enumerate().take(self.p.n) {
+    /// Bland's anti-cycling rule: the smallest-index eligible column,
+    /// judged on the maintained `d[j]` (the drift guard in `iterate`
+    /// re-certifies before declaring optimality).
+    fn price_bland(&mut self) -> Option<(usize, f64)> {
+        for j in 0..self.p.n {
             if self.pos_of[j] >= 0 || self.p.lb[j] == self.p.ub[j] {
                 continue;
             }
             self.scans += 1;
-            let d = if dantzig {
-                let mut d = cj;
-                for &(i, v) in &self.p.cols[j] {
-                    d -= self.y[i as usize] * v;
-                }
-                d
-            } else {
-                self.d[j]
-            };
-            let eligible = match self.nb[j] {
-                NbState::Lower => d < -tol,
-                NbState::Upper => d > tol,
-                NbState::Free => d.abs() > tol,
-            };
-            if eligible {
-                return Some((j, d));
+            if self.eligible(j) {
+                return Some((j, self.d[j]));
             }
         }
         None
-    }
-
-    /// Dantzig pricing: full scan for the most negative effective reduced
-    /// cost, recomputed per column from the current duals.
-    fn price_dantzig(&mut self, cost: &[f64]) -> Option<(usize, f64)> {
-        let tol = self.opts.opt_tol;
-        let mut best: Option<(usize, f64, f64)> = None; // (j, d, score)
-        for (j, &cj) in cost.iter().enumerate().take(self.p.n) {
-            if self.pos_of[j] >= 0 {
-                continue;
-            }
-            // Fixed columns (incl. closed artificials) can never improve.
-            if self.p.lb[j] == self.p.ub[j] {
-                continue;
-            }
-            self.scans += 1;
-            let mut d = cj;
-            for &(i, v) in &self.p.cols[j] {
-                d -= self.y[i as usize] * v;
-            }
-            let eligible = match self.nb[j] {
-                NbState::Lower => d < -tol,
-                NbState::Upper => d > tol,
-                NbState::Free => d.abs() > tol,
-            };
-            if !eligible {
-                continue;
-            }
-            let score = d.abs();
-            if best.as_ref().is_none_or(|&(_, _, s)| score > s) {
-                best = Some((j, d, score));
-            }
-        }
-        best.map(|(j, d, _)| (j, d))
-    }
-
-    /// Devex pricing over all columns using the maintained reduced costs:
-    /// highest `d²/γ` wins, smallest index on exact ties (ascending scan
-    /// with a strictly-greater comparison).
-    ///
-    /// With `pricing_jobs > 1` the scan fans out per section; each section
-    /// keeps its own smallest-index maximum and the reduction walks the
-    /// per-section results **in section order** with the same
-    /// strictly-greater comparison, so the winner is the smallest-index
-    /// attainer of the global maximum — exactly the serial answer.
-    fn price_devex(&mut self) -> Option<(usize, f64)> {
-        let t0 = Instant::now();
-        let n = self.p.n;
-        let jobs = self.opts.pricing_jobs;
-        let parallel = jobs > 1 && par::section_count(n) > 1;
-        let best = if parallel {
-            let (parts, stats) = {
-                let view = self.view();
-                par::map_sections(n, jobs, |_, r| {
-                    let mut best: Option<(usize, f64)> = None; // (j, score)
-                    for j in r {
-                        if !view.eligible(j) {
-                            continue;
-                        }
-                        let dj = view.d[j];
-                        let score = dj * dj / view.gamma[j];
-                        if best.is_none_or(|(_, s)| score > s) {
-                            best = Some((j, score));
-                        }
-                    }
-                    best
-                })
-            };
-            self.note_par_stats(stats);
-            let mut best: Option<(usize, f64)> = None;
-            for (j, score) in parts.into_iter().flatten() {
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((j, score));
-                }
-            }
-            best
-        } else {
-            let mut best: Option<(usize, f64)> = None; // (j, score)
-            for j in 0..n {
-                if !self.eligible(j) {
-                    continue;
-                }
-                let dj = self.d[j];
-                let score = dj * dj / self.gamma[j];
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((j, score));
-                }
-            }
-            best
-        };
-        self.scans += n as u64;
-        self.note_pricing_wall(t0, parallel);
-        best.map(|(j, _)| (j, self.d[j]))
     }
 
     /// Partial Devex pricing: prune the candidate shortlist, sweep one

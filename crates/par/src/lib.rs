@@ -1,4 +1,4 @@
-//! # pretium-par — deterministic sectioned parallel map
+//! # pretium-par — the workspace's work-stealing pool
 //!
 //! The workspace's bit-exact determinism contract (DESIGN.md §19) demands
 //! that a worker count be a pure wall-clock knob: the same inputs must
@@ -6,8 +6,9 @@
 //! breaks that for floating-point reductions, because the *grouping* of
 //! partial results then depends on which thread finishes first.
 //!
-//! This crate provides the two primitives that make parallel candidate
-//! scoring deterministic anyway:
+//! This crate holds the one deque/steal scheduler in the workspace,
+//! [`run_tasks`], and the two primitives that make parallel candidate
+//! scoring deterministic on top of it:
 //!
 //! 1. **Fixed, size-derived sections.** [`section_len`] depends only on the
 //!    range length — never on the worker count — so the same range is
@@ -18,18 +19,20 @@
 //!    Threads may *execute* sections in any order (work stealing included);
 //!    they can never *reduce* in completion order.
 //!
-//! Scheduling mirrors `pretium-sim::par`: one `VecDeque` per worker seeded
-//! round-robin, owners pop the front, idle workers steal from the back of
-//! the busiest sibling. Panics propagate through [`std::thread::scope`].
+//! [`run_tasks`] keeps one `VecDeque` of task indices per worker, seeded
+//! round-robin; owners pop the front, idle workers steal from the back of
+//! the busiest sibling, and a worker leaves once every deque is empty.
+//! Panics propagate through [`std::thread::scope`]. `pretium-sim::par`'s
+//! evaluation-cell engine is the pool's other front end.
 //!
-//! The primitives live in their own bottom-level crate (std only) because
-//! both consumers — `pretium-lp`'s simplex pricing and `pretium-core`'s
-//! column generation — sit *below* `pretium-sim` in the dependency graph
-//! and cannot use its pool without a cycle.
+//! The pool lives in its own bottom-level crate (std only) because its
+//! consumers — `pretium-lp`'s simplex pricing, `pretium-core`'s column
+//! generation and `pretium-sim`'s sweep engine — span the whole dependency
+//! graph.
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -109,7 +112,7 @@ where
         return (out, stats);
     }
     let results: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    stats.steals = run_stealing(count, jobs, &|s| {
+    stats.steals = run_tasks(count, jobs, &|s| {
         *results[s].lock().expect("result slot") = Some(f(s, range(s)));
     });
     let out = results
@@ -145,7 +148,7 @@ where
     type Slot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
     let tasks: Vec<Slot<'_, T>> =
         data.chunks_mut(sl).enumerate().map(|(s, c)| Mutex::new(Some((s * sl, c)))).collect();
-    stats.steals = run_stealing(count, jobs, &|s| {
+    stats.steals = run_tasks(count, jobs, &|s| {
         let (start, chunk) = tasks[s].lock().expect("task slot").take().expect("section unclaimed");
         f(s, start, chunk);
     });
@@ -153,64 +156,34 @@ where
     stats
 }
 
-/// Execute sections `0..count` across `min(jobs, count)` scoped workers
-/// with per-worker deques and back-of-the-busiest stealing. Returns the
-/// number of stolen sections. `exec` runs each section exactly once;
-/// section-to-worker assignment (and therefore the steal count) is timing
-/// dependent, which is exactly why callers collect results by section
-/// index instead of arrival order.
-fn run_stealing(count: usize, jobs: usize, exec: &(impl Fn(usize) + Sync)) -> u64 {
+/// Execute tasks `0..count` across `min(jobs, count)` workers with
+/// per-worker deques and back-of-the-busiest stealing, and return the
+/// number of stolen tasks. `exec` runs each task exactly once. With one
+/// worker the tasks run inline on the caller's thread, in order, with no
+/// thread machinery.
+///
+/// Task-to-worker assignment (and therefore the steal count) is timing
+/// dependent, which is exactly why callers collect results by task index
+/// instead of arrival order. A panic in `exec` ends its worker; the others
+/// drain the deques and the scope re-raises the panic.
+pub fn run_tasks(count: usize, jobs: usize, exec: &(impl Fn(usize) + Sync)) -> u64 {
     let workers = jobs.min(count);
+    if workers <= 1 {
+        (0..count).for_each(exec);
+        return 0;
+    }
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for s in 0..count {
         deques[s % workers].lock().expect("seed deque").push_back(s);
     }
-    let remaining = AtomicUsize::new(count);
     let steals = AtomicU64::new(0);
-    // Decrement-on-drop so a panicking `exec` still counts its section
-    // down: without this, sibling workers would spin on `remaining > 0`
-    // forever and the scope would never join to propagate the panic.
-    struct Done<'a>(&'a AtomicUsize);
-    impl Drop for Done<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let deques = &deques;
-            let remaining = &remaining;
-            let steals = &steals;
+            let (deques, steals) = (&deques, &steals);
             scope.spawn(move || {
-                let mut spins = 0u32;
-                while remaining.load(Ordering::Acquire) > 0 {
-                    let own = deques[w].lock().expect("own deque").pop_front();
-                    let task = match own {
-                        Some(s) => Some(s),
-                        None => {
-                            let stolen = steal_from_busiest(deques, w);
-                            if stolen.is_some() {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            stolen
-                        }
-                    };
-                    match task {
-                        Some(s) => {
-                            spins = 0;
-                            let _done = Done(remaining);
-                            exec(s);
-                        }
-                        None => {
-                            spins += 1;
-                            if spins > 64 {
-                                std::thread::yield_now();
-                            } else {
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
+                while let Some(task) = next_task(deques, w, steals) {
+                    exec(task);
                 }
             });
         }
@@ -218,23 +191,29 @@ fn run_stealing(count: usize, jobs: usize, exec: &(impl Fn(usize) + Sync)) -> u6
     steals.into_inner()
 }
 
-/// Steal one section from the back of the sibling with the most queued
-/// work. `try_lock` throughout: a contended deque is skipped this round
-/// rather than waited on.
-fn steal_from_busiest(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None;
-    for (i, d) in deques.iter().enumerate() {
-        if i == me {
-            continue;
+/// The next task for worker `me`: the front of its own deque, else the
+/// back of the sibling with the most queued work. `None` means every
+/// deque was empty; tasks are never re-queued, so they stay empty and the
+/// worker may leave.
+fn next_task(deques: &[Mutex<VecDeque<usize>>], me: usize, steals: &AtomicU64) -> Option<usize> {
+    let lock = |i: usize| deques[i].lock().expect("deque");
+    if let Some(task) = lock(me).pop_front() {
+        return Some(task);
+    }
+    loop {
+        let (queued, victim) = (0..deques.len())
+            .filter(|&i| i != me)
+            .map(|i| (lock(i).len(), i))
+            .fold((0, me), |best, cur| if cur.0 > best.0 { cur } else { best });
+        if queued == 0 {
+            return None;
         }
-        if let Ok(g) = d.try_lock() {
-            if !g.is_empty() && best.is_none_or(|(n, _)| g.len() > n) {
-                best = Some((g.len(), i));
-            }
+        // The victim may have drained since it was measured; look again.
+        if let Some(task) = lock(victim).pop_back() {
+            steals.fetch_add(1, Ordering::Relaxed);
+            return Some(task);
         }
     }
-    let (_, victim) = best?;
-    deques[victim].try_lock().ok()?.pop_back()
 }
 
 #[cfg(test)]
@@ -338,6 +317,18 @@ mod tests {
         let mut a = ParStats { sections: 2, steals: 1, wall_nanos: 10 };
         a.merge(ParStats { sections: 3, steals: 0, wall_nanos: 5 });
         assert_eq!(a, ParStats { sections: 5, steals: 1, wall_nanos: 15 });
+    }
+
+    #[test]
+    fn run_tasks_runs_every_task_exactly_once() {
+        for (count, jobs) in [(0, 4), (1, 4), (3, 8), (100, 1), (100, 3)] {
+            let runs: Vec<AtomicU64> = (0..count).map(|_| AtomicU64::new(0)).collect();
+            let steals = run_tasks(count, jobs, &|t| {
+                runs[t].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{count}/{jobs}");
+            assert!(steals <= count as u64);
+        }
     }
 
     #[test]

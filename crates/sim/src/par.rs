@@ -1,11 +1,11 @@
-//! Work-stealing parallel evaluation engine.
+//! Evaluation-cell front end of the work-stealing pool.
 //!
 //! The evaluation sweep grid — `(figure × axis point × scheme)` — is
 //! embarrassingly parallel: every *cell* builds its own seeded scenario (or
 //! shares an immutable one behind `Arc`) and solves independently. This
-//! module executes a batch of such cells across worker threads and
-//! reassembles the results **in declaration order**, so a parallel run is
-//! bit-identical to a serial one:
+//! module executes a batch of such cells on `pretium-par`'s deque/steal
+//! scheduler ([`pretium_par::run_tasks`]) and reassembles the results **in
+//! declaration order**, so a parallel run is bit-identical to a serial one:
 //!
 //! * each cell's randomness is a pure function of `(run seed, cell label)`
 //!   via [`rand::derive_seed`] — never of thread identity or timing;
@@ -13,19 +13,10 @@
 //!   completion order is invisible to the caller;
 //! * a panicking cell aborts the batch and re-panics **with the cell's
 //!   label** after all workers have parked — the pool itself is never
-//!   poisoned, and the remaining cells' results are simply discarded.
-//!
-//! The scheduler is a local, dependency-free rendition of the
-//! crossbeam-style injector/worker/stealer triad: cells are round-robined
-//! into per-worker FIFO deques up front (deterministic, keeps early cells
-//! early), each worker drains its own deque first, then steals from the
-//! busiest sibling. Deques are `Mutex<VecDeque>` — cells are
-//! coarse-grained (whole scheme solves, milliseconds to seconds), so lock
-//! traffic is noise; stealers use `try_lock` and report [`Steal::Retry`]
-//! on contention rather than blocking.
+//!   poisoned, cells that have not started are cancelled, and the finished
+//!   cells' results are simply discarded.
 
 use pretium_core::PoolTelemetry;
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -53,58 +44,8 @@ impl<T, E> Cell<T, E> {
     }
 }
 
-/// Outcome of one steal attempt (the crossbeam `Steal` shape).
-pub enum Steal<T> {
-    /// The deque was empty.
-    Empty,
-    /// A task was stolen.
-    Success(T),
-    /// The deque was contended; try again or move on.
-    Retry,
-}
-
-/// A FIFO/LIFO deque shared between one owner and any number of stealers.
-/// The owner pushes and pops the front; stealers take from the back with
-/// `try_lock` so they never block the owner.
-struct Deque<T> {
-    slots: Mutex<VecDeque<T>>,
-}
-
-impl<T> Deque<T> {
-    fn new() -> Self {
-        Deque { slots: Mutex::new(VecDeque::new()) }
-    }
-
-    fn push(&self, v: T) {
-        self.slots.lock().unwrap().push_back(v);
-    }
-
-    /// Owner end: earliest-declared task first.
-    fn pop(&self) -> Option<T> {
-        self.slots.lock().unwrap().pop_front()
-    }
-
-    /// Stealer end: latest task, without blocking on a contended lock.
-    fn steal(&self) -> Steal<T> {
-        match self.slots.try_lock() {
-            Ok(mut q) => match q.pop_back() {
-                Some(v) => Steal::Success(v),
-                None => Steal::Empty,
-            },
-            Err(_) => Steal::Retry,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.lock().unwrap().len()
-    }
-}
-
-/// A task in flight: the cell plus its declaration index (its result slot).
-struct Task<T, E> {
-    index: usize,
-    cell: Cell<T, E>,
-}
+/// A finished cell: its label, its result, and how long it ran.
+type Finished<T, E> = (String, Result<T, E>, Duration);
 
 /// First panic observed in a worker, with the offending cell's label.
 #[derive(Default)]
@@ -131,13 +72,13 @@ impl PanicSlot {
 ///
 /// Determinism contract: the returned vector depends only on the cells
 /// themselves — `jobs`, scheduling order, and steal races affect wall
-/// clock and telemetry, never results. `jobs <= 1` runs the same code
-/// path minus the threads (one in-line worker), so `--jobs 1` is the
-/// serial reference the determinism suite compares against.
+/// clock and telemetry, never results. `jobs <= 1` runs every cell in
+/// line on the caller's thread, in declaration order, so `--jobs 1` is
+/// the serial reference the determinism suite compares against.
 ///
 /// A panic inside any cell cancels the not-yet-started cells, waits for
-/// in-flight ones, then re-panics with the cell's label; the pool (and
-/// every deque in it) unwinds cleanly rather than poisoning.
+/// in-flight ones, then re-panics with the cell's label; the pool unwinds
+/// cleanly rather than poisoning.
 pub fn run_cells<T, E>(jobs: usize, cells: Vec<Cell<T, E>>) -> (Vec<Result<T, E>>, PoolTelemetry)
 where
     T: Send,
@@ -146,104 +87,51 @@ where
     let n = cells.len();
     let workers = jobs.max(1).min(n.max(1));
     let started = Instant::now();
-
-    // Round-robin the cells into per-worker deques up front. Deterministic,
-    // keeps declaration-order locality (worker w gets cells w, w+k, ...),
-    // and leaves the steal path to do the load balancing.
-    let deques: Vec<Deque<Task<T, E>>> = (0..workers).map(|_| Deque::new()).collect();
-    for (index, cell) in cells.into_iter().enumerate() {
-        deques[index % workers].push(Task { index, cell });
-    }
-
-    let results: Mutex<Vec<Option<Result<T, E>>>> = Mutex::new((0..n).map(|_| None).collect());
+    let pending: Vec<Mutex<Option<Cell<T, E>>>> =
+        cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let finished: Vec<Mutex<Option<Finished<T, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let abort = AtomicBool::new(false);
     let panicked = PanicSlot::default();
-    let telemetry = Mutex::new(PoolTelemetry { workers, ..Default::default() });
 
-    let worker_loop = |me: usize| {
-        let mut local_cells = pretium_core::ModuleStats::default();
-        let mut local_steals = 0u64;
-        let mut slowest = (String::new(), 0u128);
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break;
+    let steals = pretium_par::run_tasks(n, workers, &|index| {
+        if abort.load(Ordering::Relaxed) {
+            return; // cancelled: a sibling cell panicked
+        }
+        // Cells run outside every lock (and under `catch_unwind`), so no
+        // slot mutex can be poisoned.
+        let cell = pending[index].lock().expect("cell slot unpoisoned").take();
+        let Cell { label, run } = cell.expect("each cell is claimed once");
+        let t0 = Instant::now();
+        match panic::catch_unwind(AssertUnwindSafe(run)) {
+            Ok(result) => {
+                *finished[index].lock().expect("result slot unpoisoned") =
+                    Some((label, result, t0.elapsed()))
             }
-            // Own deque first; then steal from the sibling with the most
-            // queued work (re-scanning on Retry).
-            let task = deques[me].pop().or_else(|| {
-                let mut spun = 0u32;
-                loop {
-                    let victim = (0..workers)
-                        .filter(|&w| w != me)
-                        .max_by_key(|&w| deques[w].len())
-                        .filter(|&w| deques[w].len() > 0);
-                    let v = victim?;
-                    match deques[v].steal() {
-                        Steal::Success(t) => {
-                            local_steals += 1;
-                            return Some(t);
-                        }
-                        Steal::Empty => return None,
-                        Steal::Retry => {
-                            spun += 1;
-                            if spun > 64 {
-                                std::thread::yield_now();
-                                spun = 0;
-                            }
-                        }
-                    }
-                }
-            });
-            let Some(Task { index, cell }) = task else { break };
-            let Cell { label, run } = cell;
-            let t0 = Instant::now();
-            match panic::catch_unwind(AssertUnwindSafe(run)) {
-                Ok(result) => {
-                    let elapsed = t0.elapsed();
-                    local_cells.record(elapsed);
-                    if elapsed.as_nanos() > slowest.1 {
-                        slowest = (label, elapsed.as_nanos());
-                    }
-                    results.lock().unwrap()[index] = Some(result);
-                }
-                Err(payload) => {
-                    panicked.record(&label, payload.as_ref());
-                    abort.store(true, Ordering::Relaxed);
-                    break;
-                }
+            Err(payload) => {
+                panicked.record(&label, payload.as_ref());
+                abort.store(true, Ordering::Relaxed);
             }
         }
-        let mut t = telemetry.lock().unwrap();
-        if slowest.1 > t.cells.max_nanos {
-            t.slowest_label = slowest.0;
-        }
-        t.cells.merge(&local_cells);
-        t.steals += local_steals;
-    };
+    });
 
-    if workers <= 1 {
-        worker_loop(0);
-    } else {
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                scope.spawn(move || worker_loop(me));
-            }
-        });
-    }
-
-    if let Some((label, msg)) = panicked.first.lock().unwrap().take() {
+    if let Some((label, msg)) = panicked.first.lock().expect("panic slot unpoisoned").take() {
         panic::panic_any(format!("evaluation cell `{label}` panicked: {msg}"));
     }
 
-    let mut telemetry = telemetry.into_inner().unwrap();
+    let mut telemetry = PoolTelemetry { workers, steals, ..Default::default() };
+    let mut results = Vec::with_capacity(n);
+    for slot in finished {
+        let (label, result, elapsed) = slot
+            .into_inner()
+            .expect("result slot unpoisoned")
+            .expect("every cell ran exactly once");
+        if elapsed.as_nanos() > telemetry.cells.max_nanos {
+            telemetry.slowest_label = label;
+        }
+        telemetry.cells.record(elapsed);
+        results.push(result);
+    }
     telemetry.wall_nanos = started.elapsed().as_nanos();
-
-    let results = results
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|slot| slot.expect("every cell ran exactly once"))
-        .collect();
     (results, telemetry)
 }
 
@@ -254,26 +142,6 @@ pub fn run_cells_ok<T: Send>(
 ) -> (Vec<T>, PoolTelemetry) {
     let (results, telemetry) = run_cells(jobs, cells);
     (results.into_iter().map(|r| r.unwrap()).collect(), telemetry)
-}
-
-/// Run closures that cannot fail, returning plain values (convenience for
-/// in-crate callers like the parallel `compare_schemes`).
-pub fn scatter<T, E, I>(jobs: usize, labeled: I) -> (Vec<Result<T, E>>, PoolTelemetry)
-where
-    T: Send,
-    E: Send,
-    I: IntoIterator<Item = (String, Box<dyn FnOnce() -> Result<T, E> + Send>)>,
-{
-    run_cells(jobs, labeled.into_iter().map(|(label, run)| Cell { label, run }).collect())
-}
-
-/// Drop-in guard: keep a `Duration` of pool wall-clock per run so reports
-/// can print serial-vs-parallel ratios without re-deriving them.
-pub fn speedup(serial: Duration, parallel: Duration) -> f64 {
-    if parallel.is_zero() {
-        return 1.0;
-    }
-    serial.as_secs_f64() / parallel.as_secs_f64()
 }
 
 #[cfg(test)]
