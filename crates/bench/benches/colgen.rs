@@ -118,7 +118,7 @@ fn main() {
     // constants without solving; `COLGEN_PROBE=solve` also times one cold
     // solve per mode. Both exist for retuning the scenario knobs above.
     if std::env::var_os("COLGEN_PROBE").is_some() {
-        let probe = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+        let probe = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         println!(
             "probe: {} jobs, universe {} columns, seed {} columns",
             jobs.len(),
@@ -192,7 +192,7 @@ fn main() {
     // Sanity before timing: the restricted master must agree with full
     // materialization on every step's optimum.
     let full = run(ColumnGen::Off);
-    let lazy = run(ColumnGen::on());
+    let lazy = run(ColumnGen::On);
     assert!(
         (full.objective - lazy.objective).abs() <= 1e-6 * (1.0 + full.objective.abs()),
         "objective drift: full {} vs colgen {}",
@@ -230,7 +230,7 @@ fn main() {
     let mut lazy_steps = lazy.step_times.clone();
     for _ in 0..replays.saturating_sub(1) {
         full_steps.extend(run(ColumnGen::Off).step_times);
-        lazy_steps.extend(run(ColumnGen::on()).step_times);
+        lazy_steps.extend(run(ColumnGen::On).step_times);
     }
     let full_med = median(&mut full_steps);
     let lazy_med = median(&mut lazy_steps);

@@ -24,7 +24,8 @@
 
 use pretium_bench::{black_box, Harness};
 use pretium_lp::{
-    Cmp, LinExpr, Model, Sense, SimplexOptions, SolveOptions, SolverSession, SolverTuning,
+    Cmp, LinExpr, Model, Sense, SessionStats, SimplexOptions, SolveOptions, SolverSession,
+    SolverTuning,
 };
 
 /// Deterministic xorshift64* stream in `[0, 1)`.
@@ -124,12 +125,15 @@ struct Record {
     jobs: usize,
     vars: usize,
     rows: usize,
-    iterations: u64,
-    par_sections: u64,
-    par_steals: u64,
     wall_secs: f64,
-    pricing_serial_secs: f64,
-    pricing_par_secs: f64,
+    stats: SessionStats,
+}
+
+impl Record {
+    /// Wall clock of the pricing phase, serial plus parallel.
+    fn pricing_secs(&self) -> f64 {
+        (self.stats.pricing_serial_nanos + self.stats.pricing_par_nanos) as f64 / 1e9
+    }
 }
 
 fn main() {
@@ -154,7 +158,7 @@ fn main() {
         // nothing, and for this layer "different" is a correctness bug.
         let reference = SolverSession::new(m.clone()).solve(&opts_for(1)).expect("serial solve");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(reference.pricing_par_sections(), 0, "jobs=1 must take the serial path");
+        assert_eq!(reference.stats().pricing_par_sections, 0, "jobs=1 must take the serial path");
         for &pj in &JOB_COUNTS[1..] {
             let sol = SolverSession::new(m.clone())
                 .solve(&opts_for(pj))
@@ -175,7 +179,7 @@ fn main() {
                 "{name}: duals diverged at pricing_jobs={pj}"
             );
             assert!(
-                sol.pricing_par_sections() > 0,
+                sol.stats().pricing_par_sections > 0,
                 "{name}: pricing_jobs={pj} never fanned out (model too narrow?)"
             );
         }
@@ -195,12 +199,8 @@ fn main() {
                 jobs: pj,
                 vars: m.num_vars(),
                 rows: m.num_rows(),
-                iterations: sol.iterations(),
-                par_sections: sol.pricing_par_sections(),
-                par_steals: sol.pricing_par_steals(),
                 wall_secs: wall,
-                pricing_serial_secs: sol.pricing_serial_nanos() as f64 / 1e9,
-                pricing_par_secs: sol.pricing_par_nanos() as f64 / 1e9,
+                stats: sol.stats(),
             });
         }
     }
@@ -213,14 +213,12 @@ fn main() {
     };
     let (serial, par4) = (pick(1), pick(4));
     let wall_speedup = serial.wall_secs / par4.wall_secs.max(1e-12);
-    let serial_pricing = serial.pricing_serial_secs + serial.pricing_par_secs;
-    let par4_pricing = par4.pricing_serial_secs + par4.pricing_par_secs;
-    let pricing_speedup = serial_pricing / par4_pricing.max(1e-12);
+    let pricing_speedup = serial.pricing_secs() / par4.pricing_secs().max(1e-12);
     println!(
         "parallel_pricing {largest}: jobs=4 vs jobs=1 -> {wall_speedup:.2}x wall, \
          {pricing_speedup:.2}x pricing phase ({} sections, {} steals at jobs=4; \
          target >= 2x pricing on multi-core, <= 1.0x expected on 1 core)",
-        par4.par_sections, par4.par_steals
+        par4.stats.pricing_par_sections, par4.stats.pricing_par_steals
     );
     println!("BENCH\tparallel_pricing_wall_speedup\t{wall_speedup:.3}");
     println!("BENCH\tparallel_pricing_phase_speedup\t{pricing_speedup:.3}");
@@ -279,12 +277,12 @@ fn main() {
             r.jobs,
             r.vars,
             r.rows,
-            r.iterations,
-            r.par_sections,
-            r.par_steals,
+            r.stats.iterations,
+            r.stats.pricing_par_sections,
+            r.stats.pricing_par_steals,
             r.wall_secs,
-            r.pricing_serial_secs,
-            r.pricing_par_secs
+            r.stats.pricing_serial_nanos as f64 / 1e9,
+            r.stats.pricing_par_nanos as f64 / 1e9
         ));
     }
     let json = format!(

@@ -37,7 +37,8 @@ const K_PATHS: usize = 3;
 const HEADROOM: f64 = 1.5;
 const COST_SCALE: f64 = 0.25;
 const FAULT_FACTOR: f64 = 0.95;
-/// Certification tolerance (the `IncrementalSam::Certified` regime).
+/// Certification tolerance, passed straight to `solve_step_localized`
+/// (looser than the `IncrementalSam::TOL` a `Pretium` instance uses).
 /// Degenerate top-k ties give the percentile-cost rows an interval of
 /// equally-optimal duals; the submodel can land on a different vertex than
 /// the one supporting the frozen flows, which shows up as a spurious

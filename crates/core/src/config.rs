@@ -22,33 +22,21 @@ pub enum ReferenceWindow {
 /// blocks against residual capacities, adopting the composite only when its
 /// KKT certificate holds. `Off` keeps the full (warm-started) re-solve on
 /// every step.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncrementalSam {
     /// Always re-solve the full LP (warm-started).
     Off,
     /// Localized solves certified at the solver's own feasibility
-    /// tolerance — the composite is the exact LP optimum or it is
-    /// discarded.
+    /// tolerance ([`IncrementalSam::TOL`]) — the composite is the exact LP
+    /// optimum or it is discarded.
     Exact,
-    /// Localized solves certified at an explicit tolerance (looser than
-    /// `Exact` trades a little optimality slack for fewer fallbacks).
-    Certified {
-        /// Max reduced-cost / feasibility violation accepted.
-        tol: f64,
-    },
 }
 
 impl IncrementalSam {
-    /// The certification tolerance this mode demands (solver feasibility
-    /// tolerance for `Exact`).
-    pub fn tol(self) -> f64 {
-        match self {
-            // Matches SimplexOptions::default().feas_tol; solve_restricted
-            // takes the max of the two anyway.
-            IncrementalSam::Off | IncrementalSam::Exact => 1e-7,
-            IncrementalSam::Certified { tol } => tol,
-        }
-    }
+    /// The certification tolerance of localized solves. Matches
+    /// `SimplexOptions::default().feas_tol`; `solve_restricted` takes the
+    /// max of the two anyway.
+    pub const TOL: f64 = 1e-7;
 }
 
 /// Column-generation mode for the SAM scheduling LP (DESIGN.md §17).
@@ -56,37 +44,31 @@ impl IncrementalSam {
 /// `Off` materializes every `(path, timestep)` flow variable when a job is
 /// added — the reference behavior every recorded experiment uses. `On`
 /// builds a *restricted master*: each job seeds only its shortest
-/// `seed_paths` paths, and absent columns are appended only when the
-/// restricted optimum's duals give them favorable reduced cost. Columns
-/// generated in one SAM step persist (warm) into the next.
+/// [`ColumnGen::SEED_PATHS`] paths, and absent columns are appended only
+/// when the restricted optimum's duals give them favorable reduced cost.
+/// Columns generated in one SAM step persist (warm) into the next.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ColumnGen {
     /// Materialize the full `(path, timestep)` column universe up front.
     #[default]
     Off,
     /// Lazy column generation over the Yen k-shortest-path set.
-    On {
-        /// Pricing-round budget per SAM step; `0` selects 50. When the
-        /// budget runs out, the restricted-master optimum is adopted as is
-        /// (budget-truncated rather than certified over the universe).
-        max_rounds: u32,
-        /// Paths seeded per job (shortest first); `0` selects 1.
-        seed_paths: usize,
-    },
+    On,
 }
 
 impl ColumnGen {
-    /// `On` with the default budget and seed width.
-    pub fn on() -> Self {
-        ColumnGen::On { max_rounds: 0, seed_paths: 0 }
-    }
+    /// Pricing-round budget per SAM step under `On`. When the budget runs
+    /// out, the restricted-master optimum is adopted as is
+    /// (budget-truncated rather than certified over the universe).
+    pub const MAX_ROUNDS: u32 = 50;
+    /// Paths seeded per job under `On` (shortest first).
+    pub const SEED_PATHS: usize = 1;
 
     /// The pricing-round budget this mode grants per SAM step.
     pub fn max_rounds(self) -> u32 {
         match self {
             ColumnGen::Off => 0,
-            ColumnGen::On { max_rounds: 0, .. } => 50,
-            ColumnGen::On { max_rounds, .. } => max_rounds,
+            ColumnGen::On => Self::MAX_ROUNDS,
         }
     }
 
@@ -94,8 +76,7 @@ impl ColumnGen {
     pub fn seed_paths(self) -> usize {
         match self {
             ColumnGen::Off => usize::MAX,
-            ColumnGen::On { seed_paths: 0, .. } => 1,
-            ColumnGen::On { seed_paths, .. } => seed_paths,
+            ColumnGen::On => Self::SEED_PATHS,
         }
     }
 }
@@ -218,18 +199,15 @@ mod tests {
         // re-solve every 16 steps when it is on.
         assert_eq!(c.incremental_sam, IncrementalSam::Off);
         assert_eq!(c.sam_full_every, 16);
-        assert_eq!(IncrementalSam::Certified { tol: 1e-6 }.tol(), 1e-6);
-        assert_eq!(IncrementalSam::Exact.tol(), 1e-7);
-        // Colgen is opt-in; On defaults to 50 pricing rounds and a
-        // single-path seed.
+        assert_eq!(IncrementalSam::TOL, 1e-7);
+        // Colgen is opt-in; On grants 50 pricing rounds and a single-path
+        // seed.
         assert_eq!(c.colgen, ColumnGen::Off);
+        assert_eq!(ColumnGen::On.max_rounds(), 50);
+        assert_eq!(ColumnGen::On.seed_paths(), 1);
         // Pricing parallelism defaults to the serial path; >1 is opt-in
         // and bit-identical by the section-ordered reduction contract.
         assert_eq!(c.pricing_jobs, 1);
-        assert_eq!(ColumnGen::on().max_rounds(), 50);
-        assert_eq!(ColumnGen::on().seed_paths(), 1);
-        assert_eq!(ColumnGen::On { max_rounds: 7, seed_paths: 2 }.max_rounds(), 7);
-        assert_eq!(ColumnGen::On { max_rounds: 7, seed_paths: 2 }.seed_paths(), 2);
     }
 
     #[test]

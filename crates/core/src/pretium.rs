@@ -82,8 +82,8 @@ pub struct Pretium {
     pc_runs: u32,
     /// Live SAM session, if one is being carried across timesteps.
     sam: Option<SamCarry>,
-    /// LP restart counters accumulated from retired sessions and PC solves
-    /// (use [`Pretium::lp_stats`], which folds in the live session).
+    /// LP counters accumulated from retired sessions and PC solves (use
+    /// [`Pretium::lp_stats`], which folds in the live session).
     lp_stats: SessionStats,
     /// Per-edge price floor (indexed by edge), cached at construction.
     floors: Vec<f64>,
@@ -336,10 +336,12 @@ impl Pretium {
         self.telemetry.audit.record(t0.elapsed());
     }
 
-    /// LP restart counters across everything this instance solved: all SAM
-    /// sessions (live and retired) plus the PC's offline solves. The warm
-    /// fraction is the headline number — it is the share of LP solves that
-    /// reused a previous basis instead of starting cold.
+    /// LP counters across everything this instance solved: all SAM
+    /// sessions (live and retired) plus the PC's offline solves. This is
+    /// the one source of LP counters; [`Telemetry`] holds module-level
+    /// counters only. The warm fraction is the headline number — it is
+    /// the share of LP solves that reused a previous basis instead of
+    /// starting cold.
     pub fn lp_stats(&self) -> SessionStats {
         let mut s = self.lp_stats;
         if let Some(carry) = &self.sam {
@@ -529,7 +531,6 @@ impl Pretium {
         // Configured solver tuning, plus the solver-pressure iteration
         // cap when that fault (§4.4) is injected.
         let opts = self.sam_opts();
-        let lp_before = carry.sess.lp_stats();
         const SHORT_TOL: f64 = 1e-6;
         // Localized re-optimization (DESIGN.md §16): when the changes since
         // the last run are known to be a few accepts plus a reported
@@ -548,13 +549,12 @@ impl Pretium {
             let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
             if use_localized {
                 let touched = self.sam_touched.as_ref().expect("gated on is_some");
-                let tol = self.cfg.incremental_sam.tol();
                 match carry.sess.solve_step_localized(
                     &self.net,
                     &capacity,
                     &realized_fn,
                     touched,
-                    tol,
+                    IncrementalSam::TOL,
                     &opts,
                 ) {
                     Ok(loc) if !loc.used_full && loc.solution.max_shortfall() <= SHORT_TOL => {
@@ -740,22 +740,6 @@ impl Pretium {
             }
             self.telemetry.rerouted_units += moved;
         }
-        let lp_after = carry.sess.lp_stats();
-        self.telemetry.lp_iterations += lp_after.iterations - lp_before.iterations;
-        self.telemetry.lp_pricing_scans += lp_after.pricing_scans - lp_before.pricing_scans;
-        self.telemetry.lp_columns_generated +=
-            lp_after.columns_generated - lp_before.columns_generated;
-        self.telemetry.lp_colgen_rounds += lp_after.colgen_rounds - lp_before.colgen_rounds;
-        self.telemetry.lp_refactors += lp_after.refactors - lp_before.refactors;
-        self.telemetry.lp_ft_updates += lp_after.ft_updates - lp_before.ft_updates;
-        self.telemetry.lp_pivot_rejections +=
-            lp_after.pivot_rejections - lp_before.pivot_rejections;
-        self.telemetry.lp_basis_nnz += lp_after.basis_nnz - lp_before.basis_nnz;
-        self.telemetry.lp_factor_nnz += lp_after.factor_nnz - lp_before.factor_nnz;
-        self.telemetry.lp_pricing_par_sections +=
-            lp_after.pricing_par_sections - lp_before.pricing_par_sections;
-        self.telemetry.lp_pricing_par_steals +=
-            lp_after.pricing_par_steals - lp_before.pricing_par_steals;
         // The installed plans now reflect every capacity change reported so
         // far; start accumulating touched edges for the next step.
         self.sam_touched = Some(HashSet::default());
@@ -878,15 +862,6 @@ impl Pretium {
         };
         let sol = schedule::solve_with(&problem, &self.solver_opts())?;
         self.lp_stats.merge(sol.lp_stats);
-        self.telemetry.lp_iterations += sol.lp_stats.iterations;
-        self.telemetry.lp_pricing_scans += sol.lp_stats.pricing_scans;
-        self.telemetry.lp_refactors += sol.lp_stats.refactors;
-        self.telemetry.lp_ft_updates += sol.lp_stats.ft_updates;
-        self.telemetry.lp_pivot_rejections += sol.lp_stats.pivot_rejections;
-        self.telemetry.lp_basis_nnz += sol.lp_stats.basis_nnz;
-        self.telemetry.lp_factor_nnz += sol.lp_stats.factor_nnz;
-        self.telemetry.lp_pricing_par_sections += sol.lp_stats.pricing_par_sections;
-        self.telemetry.lp_pricing_par_steals += sol.lp_stats.pricing_par_steals;
         // Reference window: the pattern carried into the future.
         self.bump_epoch();
         let ref_start = self.grid.window_start(w_now - back);

@@ -30,13 +30,14 @@
 //! rows are zero (the rows never bind).
 //!
 //! With [`crate::ColumnGen::On`], the *columns* are lazy too: each job
-//! seeds only its shortest `seed_paths` paths' `(path, timestep)`
-//! variables, and every solve round also prices the absent columns against
-//! the tentative optimum's duals — `d = weight − y_demand − y_guar −
-//! Σ_e (y_cap + y_use)` over the path's edges — appending the best few per
-//! job that price out (`d > 0` under Maximize). When none does, the duals
-//! certify the restricted optimum over the full universe: absent columns
-//! are nonbasic at their lower bound with unfavorable reduced cost.
+//! seeds only its shortest [`crate::ColumnGen::SEED_PATHS`] paths'
+//! `(path, timestep)` variables, and every solve round also prices the
+//! absent columns against the tentative optimum's duals — `d = weight −
+//! y_demand − y_guar − Σ_e (y_cap + y_use)` over the path's edges —
+//! appending the best few per job that price out (`d > 0` under
+//! Maximize). When none does, the duals certify the restricted optimum
+//! over the full universe: absent columns are nonbasic at their lower
+//! bound with unfavorable reduced cost.
 //! Columns generated in one SAM step persist (warm) into the next.
 
 //! ## Incremental re-optimization
@@ -148,8 +149,8 @@ pub struct ScheduleSolution {
     pub shortfall: Vec<f64>,
     /// Lazy-generation rounds used.
     pub rounds: u32,
-    /// Lifetime restart counters of the LP session that produced this
-    /// solution (for a one-shot [`solve`], the counters of just this call).
+    /// Lifetime LP counters of the session that produced this solution
+    /// (for a one-shot [`solve`], the counters of just this call).
     pub lp_stats: SessionStats,
 }
 
@@ -335,7 +336,8 @@ impl ScheduleSession {
 
     /// [`ScheduleSession::new`] with an explicit column-generation mode.
     /// Under [`ColumnGen::On`], each job seeds only its shortest
-    /// `seed_paths` paths' columns and the solve loops price the rest.
+    /// [`ColumnGen::SEED_PATHS`] paths' columns and the solve loops price
+    /// the rest.
     pub fn with_colgen(p: &ScheduleProblem<'_>, colgen: ColumnGen) -> Self {
         assert!(p.from < p.to, "empty scheduling horizon");
         let max_weight = p.jobs.iter().map(|j| j.weight.abs()).fold(1.0f64, f64::max);
@@ -386,7 +388,7 @@ impl ScheduleSession {
         self.jobs.len()
     }
 
-    /// Restart counters of the underlying LP session.
+    /// LP counters of the underlying session.
     pub fn lp_stats(&self) -> SessionStats {
         self.sess.stats()
     }
@@ -425,7 +427,7 @@ impl ScheduleSession {
         self.universe += universe.len();
         let seed: Vec<(usize, Timestep)> = match self.colgen {
             ColumnGen::Off => universe.clone(),
-            ColumnGen::On { .. } => {
+            ColumnGen::On => {
                 // Feasible steps are path-independent, so the shortest
                 // path's pairs are nonempty whenever the universe is — the
                 // demand/guarantee rows always exist when pricing could
@@ -984,8 +986,15 @@ impl ScheduleSession {
             par::ParStats::default()
         };
         let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let (serial_nanos, par_nanos) = if parallel { (0, nanos) } else { (nanos, 0) };
-        self.sess.note_parallel_pricing(stats.sections, stats.steals, serial_nanos, par_nanos);
+        let (pricing_serial_nanos, pricing_par_nanos) =
+            if parallel { (0, nanos) } else { (nanos, 0) };
+        self.sess.merge_stats(SessionStats {
+            pricing_par_sections: stats.sections,
+            pricing_par_steals: stats.steals,
+            pricing_serial_nanos,
+            pricing_par_nanos,
+            ..SessionStats::default()
+        });
         if batch.is_empty() {
             return false;
         }
@@ -1877,7 +1886,7 @@ mod tests {
             cost_scale: 1.0,
         };
         let full = solve(&problem).unwrap();
-        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         let lazy = sess.solve_step(&net, &cap, &no_realized).unwrap();
         assert!(
             (lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()),
@@ -1914,7 +1923,7 @@ mod tests {
             cost_scale: 1.0,
         };
         let full = solve(&problem).unwrap();
-        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         let lazy = sess.solve_step(&net, &cap, &no_realized).unwrap();
         assert!((lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()));
         assert!((lazy.delivered[0] - full.delivered[0]).abs() < 1e-5);
@@ -1959,7 +1968,7 @@ mod tests {
             cost_scale: 1.0,
         };
         let mut full = ScheduleSession::new(&problem);
-        let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+        let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         for step in [0usize, 1] {
             let f = full.solve_step(&net, &cap, &no_realized).unwrap();
             let l = lazy.solve_step(&net, &cap, &no_realized).unwrap();

@@ -1,5 +1,7 @@
 //! Per-module telemetry: counters and wall-clock timings for the RA, SAM,
 //! PC, execution, and audit hooks of a running [`crate::Pretium`] instance.
+//! LP counters are not here: they travel as one
+//! [`pretium_lp::SessionStats`] record, read via [`crate::Pretium::lp_stats`].
 //!
 //! The paper's Table 4 reports per-module runtimes on the production
 //! deployment; this is the in-process equivalent, cheap enough to stay on
@@ -192,36 +194,6 @@ pub struct Telemetry {
     /// Localized SAM attempts that fell back to the full LP (certificate
     /// failure, infeasible submodel, or everything affected).
     pub sam_localized_fallbacks: u64,
-    /// Simplex iterations across every LP this instance solved (SAM
-    /// re-optimizations, degradation re-solves, PC pricing LPs).
-    pub lp_iterations: u64,
-    /// Pricing work behind those iterations: columns examined by entering
-    /// selection plus columns touched by incremental pivot-row updates.
-    pub lp_pricing_scans: u64,
-    /// Flow columns the SAM restricted master generated lazily
-    /// ([`crate::config::ColumnGen::On`]; 0 under full materialization).
-    pub lp_columns_generated: u64,
-    /// Pricing rounds that appended at least one generated column.
-    pub lp_colgen_rounds: u64,
-    /// Sparse-LU basis refactorizations across those LPs.
-    pub lp_refactors: u64,
-    /// Forrest–Tomlin basis-exchange updates applied in place.
-    pub lp_ft_updates: u64,
-    /// FT updates rejected on a too-small pivot (each forces a refactor).
-    pub lp_pivot_rejections: u64,
-    /// Cumulative nonzeros of bases handed to refactorization.
-    pub lp_basis_nnz: u64,
-    /// Cumulative nonzeros of the L/U factors produced;
-    /// `lp_factor_nnz / lp_basis_nnz` is the run's fill-in ratio.
-    pub lp_factor_nnz: u64,
-    /// Sections executed by the deterministic parallel-pricing layer
-    /// (simplex pricing sweeps plus the colgen oracle's job-block
-    /// fan-out); 0 when `pricing_jobs <= 1`. Deterministic per
-    /// configuration.
-    pub lp_pricing_par_sections: u64,
-    /// Parallel-pricing sections claimed by a worker other than the one
-    /// they were seeded on — a load-balance diagnostic; timing-dependent.
-    pub lp_pricing_par_steals: u64,
 }
 
 impl Telemetry {
@@ -259,19 +231,6 @@ impl Telemetry {
             ("pc freezes".into(), self.pc_freezes.to_string()),
             ("sam localized".into(), self.sam_localized.to_string()),
             ("sam localized fallbacks".into(), self.sam_localized_fallbacks.to_string()),
-            ("lp iterations".into(), self.lp_iterations.to_string()),
-            ("lp pricing scans".into(), self.lp_pricing_scans.to_string()),
-            ("lp columns generated".into(), self.lp_columns_generated.to_string()),
-            ("lp colgen rounds".into(), self.lp_colgen_rounds.to_string()),
-            ("lp refactors".into(), self.lp_refactors.to_string()),
-            ("lp ft updates".into(), self.lp_ft_updates.to_string()),
-            ("lp pivot rejections".into(), self.lp_pivot_rejections.to_string()),
-            ("lp pricing par sections".into(), self.lp_pricing_par_sections.to_string()),
-            ("lp pricing par steals".into(), self.lp_pricing_par_steals.to_string()),
-            (
-                "lp fill-in ratio".into(),
-                format!("{:.3}", self.lp_factor_nnz as f64 / self.lp_basis_nnz.max(1) as f64),
-            ),
         ]
     }
 }
@@ -334,14 +293,12 @@ mod tests {
     fn rows_cover_every_counter() {
         let t = Telemetry::default();
         let rows = t.rows();
-        assert_eq!(rows.len(), 33);
+        assert_eq!(rows.len(), 23);
+        assert!(
+            rows.iter().all(|(k, _)| !k.starts_with("lp ")),
+            "LP counters live in SessionStats"
+        );
         assert!(rows.iter().any(|(k, _)| k == "sam localized"));
-        assert!(rows.iter().any(|(k, _)| k == "lp refactors"));
-        assert!(rows.iter().any(|(k, _)| k == "lp ft updates"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pivot rejections"));
-        assert!(rows.iter().any(|(k, _)| k == "lp fill-in ratio"));
-        assert!(rows.iter().any(|(k, _)| k == "lp columns generated"));
-        assert!(rows.iter().any(|(k, _)| k == "lp colgen rounds"));
         assert!(rows.iter().any(|(k, _)| k == "sam localized fallbacks"));
         assert!(rows.iter().any(|(k, _)| k.starts_with("run_sam")));
         assert!(rows.iter().any(|(k, _)| k == "quotes requoted"));
@@ -350,9 +307,5 @@ mod tests {
         assert!(rows.iter().any(|(k, _)| k == "guarantees shed"));
         assert!(rows.iter().any(|(k, _)| k == "rerouted units"));
         assert!(rows.iter().any(|(k, _)| k == "pc freezes"));
-        assert!(rows.iter().any(|(k, _)| k == "lp iterations"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pricing scans"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pricing par sections"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pricing par steals"));
     }
 }

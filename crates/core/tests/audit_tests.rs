@@ -49,6 +49,7 @@ fn cfg_plain() -> PretiumConfig {
         highpri_fraction: 0.0,
         bump: PriceBump::disabled(),
         k_paths: 1,
+        audit: true,
         ..Default::default()
     }
 }
@@ -82,7 +83,7 @@ fn accept_on_empty_menu_is_rejected() {
     for c in pretium.contracts() {
         assert!(c.payment.is_finite() && c.lambda.is_finite());
     }
-    let aud = pretium.auditor().expect("debug builds always audit");
+    let aud = pretium.auditor().expect("auditor active with audit: true");
     assert!(aud.is_clean(), "{:?}", aud.violations());
 }
 
@@ -163,7 +164,8 @@ fn full_loop_replay_is_audit_clean() {
     net.add_edge(a, c, 8.0, LinkCost::owned());
     let grid = TimeGrid::new(4, 30);
     let horizon = 12;
-    let cfg = PretiumConfig { highpri_fraction: 0.05, k_paths: 2, ..Default::default() };
+    let cfg =
+        PretiumConfig { highpri_fraction: 0.05, k_paths: 2, audit: true, ..Default::default() };
     let mut pretium = Pretium::new(net.clone(), grid, horizon, cfg);
     let mut usage = UsageTracker::new(net.num_edges(), horizon);
 
@@ -197,7 +199,7 @@ fn full_loop_replay_is_audit_clean() {
     assert!(usage.capacity_violations(&net, 1e-6).is_empty());
     assert!(pretium.pc_runs() >= 2);
 
-    let aud = pretium.auditor().expect("debug builds always audit");
+    let aud = pretium.auditor().expect("auditor active with audit: true");
     // Every checkpoint audited: accepts + SAM runs + executed steps + PC.
     assert!(aud.checks() as usize >= horizon);
     assert!(aud.is_clean(), "{:?}", aud.violations());

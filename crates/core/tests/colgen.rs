@@ -144,7 +144,7 @@ fn run_sequence(seed: u64) -> Coverage {
         topk: TopkEncoding::CVar,
         cost_scale: 1.0,
     };
-    let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+    let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::On);
     let first = lazy.solve_step_with(&net, &cap, &no_realized, &opts).unwrap();
     drop(cap);
     // Units each job executed at frozen steps, and the plan those frozen

@@ -101,6 +101,7 @@ fn full_loop_meets_guarantees_and_adapts_prices() {
         highpri_fraction: 0.0,
         k_paths: 1,
         price_floor: 0.01,
+        audit: true,
         ..Default::default()
     };
     let mut pretium = Pretium::new(net.clone(), grid, horizon, cfg);
@@ -207,7 +208,8 @@ fn sam_reroutes_after_fault() {
     net.add_edge(m2, t, 10.0, LinkCost::owned());
     let sm1 = net.find_edge(s, m1).unwrap();
     let grid = TimeGrid::new(4, 30);
-    let cfg = PretiumConfig { highpri_fraction: 0.0, k_paths: 2, ..Default::default() };
+    let cfg =
+        PretiumConfig { highpri_fraction: 0.0, k_paths: 2, audit: true, ..Default::default() };
     let mut pretium = Pretium::new(net.clone(), grid, 4, cfg);
     let mut usage = UsageTracker::new(net.num_edges(), 4);
     let p = params(0, 0, 3, 20.0, 0, 3);

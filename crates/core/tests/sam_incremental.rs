@@ -282,9 +282,9 @@ fn incremental_matches_full_exact_mode() {
 
 #[test]
 fn incremental_matches_full_certified_tolerance_mode() {
-    // A looser certificate (the `Certified { tol }` config) accepts more
-    // localized steps; equality with the full re-solve must still hold at
-    // the comparison tolerances above.
+    // A looser certificate (an explicit `tol` above `IncrementalSam::TOL`)
+    // accepts more localized steps; equality with the full re-solve must
+    // still hold at the comparison tolerances above.
     let mut certified = 0;
     for seed in [11, 23, 57] {
         certified += run_sequence(seed, 1e-4, false).certified_localized;

@@ -91,6 +91,6 @@ pub use model::{Cmp, Model, RowId, Sense};
 pub use session::{
     Mutations, RestrictedOutcome, SessionStats, SolveOptions, SolverSession, SolverTuning,
 };
-pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
+pub use simplex::basis::DEFAULT_MAX_ETAS;
 pub use simplex::{Restart, SimplexOptions};
 pub use solution::{Solution, SolveError, Status};

@@ -55,7 +55,7 @@ pub const DEFAULT_MAX_ROUNDS: u32 = 50;
 
 /// Default capacity of the freeze-pattern-keyed warm-basis LRU used by
 /// [`SolverSession::solve_restricted`] when
-/// [`SolveOptions::restricted_basis_cache`] is 0.
+/// [`SolverTuning::restricted_basis_cache`] is 0.
 pub const DEFAULT_RESTRICTED_BASIS_CACHE: usize = 8;
 
 /// Grouped solver-tuning knobs shared by every solve path ([`SolverSession::solve`],
@@ -137,7 +137,15 @@ impl Mutations {
     }
 }
 
-/// Restart counters accumulated over the session's lifetime.
+/// LP counters: the one record every layer passes up.
+///
+/// The simplex fills one per solve (iterations, pricing work, the basis
+/// factorization's counters, warm fallbacks and numerical retries) and
+/// hands it out as [`Solution::stats`]. A [`SolverSession`] merges each
+/// solve's record into its lifetime total and adds the restart class
+/// (`solves`, `cold_starts`, `warm_primal`, `warm_dual`) and its own
+/// session-level counts (cache hits, restricted solves, generated
+/// columns). Callers above aggregate with [`SessionStats::merge`].
 ///
 /// Equality compares only the *deterministic* counters: steal counts and
 /// the serial/parallel wall-clock split depend on thread scheduling and
@@ -188,8 +196,8 @@ pub struct SessionStats {
     pub pivot_rejections: u64,
     /// Sections executed by the deterministic parallel-pricing layer
     /// (simplex pricing sweeps plus any scheduler-side fan-out folded in
-    /// via [`SolverSession::note_parallel_pricing`]). Deterministic for a
-    /// fixed configuration.
+    /// via [`SolverSession::merge_stats`]). Deterministic for a fixed
+    /// configuration.
     pub pricing_par_sections: u64,
     /// Parallel-pricing sections claimed by a worker other than the one
     /// they were seeded on. Timing-dependent; excluded from equality.
@@ -200,6 +208,14 @@ pub struct SessionStats {
     /// Wall-clock nanoseconds of pricing invocations that fanned out over
     /// the worker pool. Timing-dependent; excluded from equality.
     pub pricing_par_nanos: u64,
+    /// Warm restarts abandoned for a cold solve (the saved basis did not
+    /// fit the model, or the warm simplex failed). The abandoned attempt's
+    /// iterations are not counted in `iterations`.
+    pub warm_fallbacks: u64,
+    /// Cold solves that failed numerically and were re-run with the
+    /// conservative options (larger pivot tolerance, frequent
+    /// refactorization, Bland's rule throughout).
+    pub numerical_retries: u64,
 }
 
 impl PartialEq for SessionStats {
@@ -223,37 +239,14 @@ impl PartialEq for SessionStats {
             && self.ft_updates == other.ft_updates
             && self.pivot_rejections == other.pivot_rejections
             && self.pricing_par_sections == other.pricing_par_sections
+            && self.warm_fallbacks == other.warm_fallbacks
+            && self.numerical_retries == other.numerical_retries
     }
 }
 
 impl Eq for SessionStats {}
 
 impl SessionStats {
-    fn record(&mut self, restart: Restart, solution: &Solution) {
-        self.solves += 1;
-        self.iterations += solution.iterations();
-        self.pricing_scans += solution.pricing_scans();
-        self.bland_pivots += solution.bland_pivots();
-        self.pricing_par_sections += solution.pricing_par_sections();
-        self.pricing_par_steals += solution.pricing_par_steals();
-        self.pricing_serial_nanos += solution.pricing_serial_nanos();
-        self.pricing_par_nanos += solution.pricing_par_nanos();
-        self.record_factor(solution.factor_stats());
-        match restart {
-            Restart::Cold => self.cold_starts += 1,
-            Restart::WarmPrimal => self.warm_primal += 1,
-            Restart::WarmDual => self.warm_dual += 1,
-        }
-    }
-
-    fn record_factor(&mut self, fs: crate::simplex::basis::FactorStats) {
-        self.refactors += fs.refactors;
-        self.basis_nnz += fs.basis_nnz;
-        self.factor_nnz += fs.factor_nnz;
-        self.ft_updates += fs.ft_updates;
-        self.pivot_rejections += fs.pivot_rejections;
-    }
-
     /// Fraction of solves that reused the previous basis.
     pub fn warm_fraction(&self) -> f64 {
         if self.solves == 0 {
@@ -285,6 +278,18 @@ impl SessionStats {
         self.pricing_par_steals += other.pricing_par_steals;
         self.pricing_serial_nanos += other.pricing_serial_nanos;
         self.pricing_par_nanos += other.pricing_par_nanos;
+        self.warm_fallbacks += other.warm_fallbacks;
+        self.numerical_retries += other.numerical_retries;
+    }
+
+    /// Count one solve that restarted as `restart`.
+    fn count_restart(&mut self, restart: Restart) {
+        self.solves += 1;
+        match restart {
+            Restart::Cold => self.cold_starts += 1,
+            Restart::WarmPrimal => self.warm_primal += 1,
+            Restart::WarmDual => self.warm_dual += 1,
+        }
     }
 
     /// Labelled counter rows for table rendering (`(label, value)`), in a
@@ -305,6 +310,8 @@ impl SessionStats {
             ("refactors".into(), self.refactors.to_string()),
             ("ft updates".into(), self.ft_updates.to_string()),
             ("pivot rejections".into(), self.pivot_rejections.to_string()),
+            ("warm fallbacks".into(), self.warm_fallbacks.to_string()),
+            ("numerical retries".into(), self.numerical_retries.to_string()),
             ("pricing par sections".into(), self.pricing_par_sections.to_string()),
             ("pricing par steals".into(), self.pricing_par_steals.to_string()),
             (
@@ -427,23 +434,12 @@ impl SolverSession {
         self.stats
     }
 
-    /// Fold externally measured parallel-pricing counters into the
-    /// session's stats. This is the hook for callers that run their own
-    /// deterministic pricing fan-out *around* the session — the
+    /// Fold counters measured outside the session into its stats. This is
+    /// the hook for callers that do LP work *around* the session — the
     /// scheduler's column-generation oracle prices job blocks over the
-    /// same sectioned pool — so all pricing parallelism reports through
-    /// one set of telemetry rows.
-    pub fn note_parallel_pricing(
-        &mut self,
-        sections: u64,
-        steals: u64,
-        serial_nanos: u64,
-        par_nanos: u64,
-    ) {
-        self.stats.pricing_par_sections += sections;
-        self.stats.pricing_par_steals += steals;
-        self.stats.pricing_serial_nanos += serial_nanos;
-        self.stats.pricing_par_nanos += par_nanos;
+    /// same sectioned pool — so it reports through the same record.
+    pub fn merge_stats(&mut self, extra: SessionStats) {
+        self.stats.merge(extra);
     }
 
     /// True when a basis from a previous solve is available for warm
@@ -617,7 +613,8 @@ impl SolverSession {
         let warm = if opts.force_cold { None } else { self.basis.as_ref() };
         let (solution, basis, restart) = solve_model_session(&self.model, &simplex, warm)?;
         self.basis = Some(basis);
-        self.stats.record(restart, &solution);
+        self.stats.merge(solution.stats);
+        self.stats.count_restart(restart);
         self.last_restart = Some(restart);
         self.pending = Mutations::default();
         self.solved_vars = self.model.num_vars();
@@ -751,14 +748,7 @@ impl SolverSession {
             self.restricted_bases.push((key, sub_basis));
         }
         self.stats.restricted += 1;
-        self.stats.iterations += sub_sol.iterations();
-        self.stats.pricing_scans += sub_sol.pricing_scans();
-        self.stats.bland_pivots += sub_sol.bland_pivots();
-        self.stats.pricing_par_sections += sub_sol.pricing_par_sections();
-        self.stats.pricing_par_steals += sub_sol.pricing_par_steals();
-        self.stats.pricing_serial_nanos += sub_sol.pricing_serial_nanos();
-        self.stats.pricing_par_nanos += sub_sol.pricing_par_nanos();
-        self.stats.record_factor(sub_sol.factor_stats());
+        self.stats.merge(sub_sol.stats);
 
         // Assemble the parent-shaped composite.
         let mut values = vec![0.0; n];
@@ -930,14 +920,7 @@ impl SolverSession {
             values,
             duals,
             reduced_costs,
-            iterations: sub_sol.iterations,
-            pricing_scans: sub_sol.pricing_scans,
-            bland_pivots: sub_sol.bland_pivots,
-            pricing_par_sections: sub_sol.pricing_par_sections,
-            pricing_par_steals: sub_sol.pricing_par_steals,
-            pricing_serial_nanos: sub_sol.pricing_serial_nanos,
-            pricing_par_nanos: sub_sol.pricing_par_nanos,
-            factor_stats: sub_sol.factor_stats,
+            stats: sub_sol.stats,
         };
         if certified {
             // The composite is a proven optimum of the *current* model
@@ -1080,6 +1063,26 @@ mod tests {
         let r1 = m.add_row("r1", x + y, Cmp::Le, 4.0);
         let r2 = m.add_row("r2", 1.0 * x + 3.0 * y, Cmp::Le, 6.0);
         (SolverSession::new(m), x, y, r1, r2)
+    }
+
+    #[test]
+    fn unusable_warm_basis_counts_a_fallback() {
+        use crate::simplex::{BasisKey, WarmBasis};
+        let (mut s, x, ..) = toy();
+        s.solve(&SolveOptions::default()).unwrap();
+        s.set_obj(x, 4.0);
+        // A key past the model's columns: `resolve_warm` rejects it.
+        s.basis = Some(WarmBasis {
+            keys: vec![BasisKey::Struct(99)],
+            nb_struct: Vec::new(),
+            nb_slack: Vec::new(),
+        });
+        let sol = s.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(s.last_restart(), Some(Restart::Cold));
+        assert_eq!(sol.stats().warm_fallbacks, 1);
+        assert_eq!(s.stats().warm_fallbacks, 1);
+        assert_eq!(s.stats().cold_starts, 2);
+        assert!((sol.objective() - 16.0).abs() < 1e-7);
     }
 
     #[test]

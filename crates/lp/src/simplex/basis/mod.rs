@@ -7,18 +7,19 @@
 //! with Markowitz pivot selection — each step pivots on an entry
 //! minimizing the fill bound `(r_i − 1)(c_j − 1)` among candidates passing
 //! a relative stability threshold — producing sparse `L`/`U` factors plus
-//! row and column permutations ([`markowitz`]).
+//! row and column permutations (module `markowitz`).
 //!
 //! Basis exchanges between refactorizations apply *Forrest–Tomlin
-//! updates* ([`ft_update`]): the entering column's spike replaces a column
-//! of `U`, the replaced pivot rotates to the end of the pivot order, and
-//! the stranded row is eliminated into a growing file of row etas. `U`
-//! stays genuinely triangular after every update, so FTRAN/BTRAN never
-//! degrade the way a product-form eta file does; the factorization is
-//! rebuilt when the update file reaches `max_etas` or an update's new
-//! pivot is below tolerance.
+//! updates* (module `ft_update`): the entering column's spike replaces a
+//! column of `U`, the replaced pivot rotates to the end of the pivot
+//! order, and the stranded row is eliminated into a growing file of row
+//! etas. `U` stays genuinely triangular after every update, so
+//! FTRAN/BTRAN never degrade the way a product-form eta file does; the
+//! factorization is rebuilt when the update file reaches `max_etas` or an
+//! update's new pivot is below tolerance.
 //!
-//! The two solve kernels ([`sparse`]) are the classic simplex primitives:
+//! The two solve kernels (module `sparse`) are the classic simplex
+//! primitives:
 //! * `ftran`: solve `B·w = a` (entering column in basis coordinates),
 //! * `btran`: solve `yᵀ·B = cᵀ` (simplex multipliers / duals).
 //!
@@ -54,8 +55,9 @@ pub enum FactorError {
     Singular { position: usize },
 }
 
-/// Cumulative factorization work counters, reported per solve through
-/// `Solution::factor_stats` and aggregated into `SessionStats`.
+/// Cumulative factorization work counters of one [`Factorization`]. The
+/// simplex folds them into its run's [`crate::SessionStats`] once per
+/// solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FactorStats {
     /// Refactorizations (sparse Markowitz eliminations) performed.
@@ -71,23 +73,6 @@ pub struct FactorStats {
     /// Updates refused because the new pivot fell below tolerance (each
     /// forces the caller to refactorize).
     pub pivot_rejections: u64,
-}
-
-impl FactorStats {
-    /// Factor nonzeros per basis nonzero across all refactorizations
-    /// (`1.0` = no fill-in at all).
-    pub fn fill_ratio(&self) -> f64 {
-        self.factor_nnz as f64 / self.basis_nnz.max(1) as f64
-    }
-
-    /// Fold another counter set into this one.
-    pub fn merge(&mut self, other: FactorStats) {
-        self.refactors += other.refactors;
-        self.basis_nnz += other.basis_nnz;
-        self.factor_nnz += other.factor_nnz;
-        self.ft_updates += other.ft_updates;
-        self.pivot_rejections += other.pivot_rejections;
-    }
 }
 
 /// Sparse LU factorization `P·B·Q = L·U` with a Forrest–Tomlin update

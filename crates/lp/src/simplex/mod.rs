@@ -209,14 +209,7 @@ fn finish_solution(model: &Model, problem: &Problem, outcome: &solver::Outcome) 
         values,
         duals,
         reduced_costs,
-        iterations: outcome.iterations,
-        pricing_scans: outcome.pricing_scans,
-        bland_pivots: outcome.bland_pivots,
-        pricing_par_sections: outcome.pricing_par_sections,
-        pricing_par_steals: outcome.pricing_par_steals,
-        pricing_serial_nanos: outcome.pricing_serial_nanos,
-        pricing_par_nanos: outcome.pricing_par_nanos,
-        factor_stats: outcome.factor_stats,
+        stats: outcome.stats,
     }
 }
 
@@ -308,6 +301,7 @@ pub(crate) fn solve_model_session(
     // per-row slice views instead of duplicating the matrix. Slack and
     // artificial entries are implicit singletons handled by the solver.
     let row_terms: Vec<&[(u32, f64)]> = model.rows.iter().map(|r| r.terms.as_slice()).collect();
+    let warm_fallbacks = u64::from(warm.is_some());
     if let Some(w) = warm {
         let mut problem = Problem::from_model(model);
         if let Some((basis, nb)) = resolve_warm(&mut problem, w) {
@@ -330,7 +324,7 @@ pub(crate) fn solve_model_session(
         let out = solver::run(&mut problem, &row_terms, options, rows, vars)?;
         Ok((out, problem))
     };
-    let (outcome, problem) = match attempt(options) {
+    let (mut outcome, problem) = match attempt(options) {
         Ok(s) => s,
         Err(SolveError::Numerical(_)) => {
             let conservative = SimplexOptions {
@@ -339,10 +333,13 @@ pub(crate) fn solve_model_session(
                 bland_trigger: 0,
                 ..options.clone()
             };
-            attempt(&conservative)?
+            let (mut outcome, problem) = attempt(&conservative)?;
+            outcome.stats.numerical_retries = 1;
+            (outcome, problem)
         }
         Err(e) => return Err(e),
     };
+    outcome.stats.warm_fallbacks = warm_fallbacks;
     let solution = finish_solution(model, &problem, &outcome);
     let basis = snapshot(&problem, &outcome);
     Ok((solution, basis, Restart::Cold))

@@ -6,8 +6,9 @@
 //! phase 2 the true cost vector. Anti-cycling falls back to Bland's rule
 //! after a run of degenerate pivots.
 
-use super::basis::{FactorError, FactorStats, Factorization};
+use super::basis::{FactorError, Factorization};
 use super::{Problem, SimplexOptions};
+use crate::session::SessionStats;
 use crate::solution::SolveError;
 use pretium_par as par;
 use std::time::Instant;
@@ -33,30 +34,13 @@ pub(crate) struct Outcome {
     pub x: Vec<f64>,
     /// Row duals for the internal minimization problem.
     pub y: Vec<f64>,
-    pub iterations: u64,
     /// Basic column per row position at termination.
     pub basis: Vec<usize>,
     /// Rest state of every column (meaningful for nonbasic ones).
     pub nb: Vec<NbState>,
-    /// Columns examined by pricing (selection scans plus incremental
-    /// pivot-row update touches).
-    pub pricing_scans: u64,
-    /// Iterations priced under the Bland's-rule anti-cycling fallback.
-    pub bland_pivots: u64,
-    /// Sections executed by the deterministic parallel-pricing primitive
-    /// (`pricing_jobs > 1` only; the serial path never touches it).
-    pub pricing_par_sections: u64,
-    /// Parallel-pricing sections that ran on a worker which stole them
-    /// from a sibling's deque. Timing-dependent; never deterministic.
-    pub pricing_par_steals: u64,
-    /// Wall clock spent in the incremental pricing routines on the serial
-    /// path, in nanoseconds.
-    pub pricing_serial_nanos: u64,
-    /// Wall clock spent in the incremental pricing routines on the
-    /// parallel path, in nanoseconds.
-    pub pricing_par_nanos: u64,
-    /// Basis-factorization counters accumulated over the solve.
-    pub factor_stats: FactorStats,
+    /// Counters of this run (iterations, pricing work, the basis
+    /// factorization's counters); see [`SessionStats`].
+    pub stats: SessionStats,
 }
 
 impl Outcome {
@@ -94,7 +78,6 @@ struct State<'a> {
     x: Vec<f64>,
     nb: Vec<NbState>,
     factor: Factorization,
-    iterations: u64,
     max_iterations: u64,
     degenerate_run: u32,
     w: Vec<f64>,
@@ -127,13 +110,9 @@ struct State<'a> {
     alpha_stamp: Vec<u64>,
     alpha_touched: Vec<u32>,
     stamp: u64,
-    // --- counters ---------------------------------------------------------
-    scans: u64,
-    bland_pivots: u64,
-    par_sections: u64,
-    par_steals: u64,
-    serial_pricing_nanos: u64,
-    par_pricing_nanos: u64,
+    /// Counters of this run; the factorization's are folded in by
+    /// [`State::into_outcome`].
+    stats: SessionStats,
 }
 
 /// Read-only view of the pricing state, small enough to hand to the
@@ -272,20 +251,7 @@ pub(crate) fn run(
     let mut y = Vec::new();
     st.factor.btran(&st.cb, &mut y);
 
-    Ok(Outcome {
-        x: st.x,
-        y,
-        iterations: st.iterations,
-        basis: st.basis,
-        nb: st.nb,
-        pricing_scans: st.scans,
-        bland_pivots: st.bland_pivots,
-        pricing_par_sections: st.par_sections,
-        pricing_par_steals: st.par_steals,
-        pricing_serial_nanos: st.serial_pricing_nanos,
-        pricing_par_nanos: st.par_pricing_nanos,
-        factor_stats: st.factor.stats(),
-    })
+    Ok(st.into_outcome(y))
 }
 
 /// Re-optimize from a known basis instead of crashing one.
@@ -405,23 +371,7 @@ pub(crate) fn run_warm(
     st.cb.extend(st.basis.iter().map(|&k| cost[k]));
     let mut y = Vec::new();
     st.factor.btran(&st.cb, &mut y);
-    Ok((
-        Outcome {
-            x: st.x,
-            y,
-            iterations: st.iterations,
-            basis: st.basis,
-            nb: st.nb,
-            pricing_scans: st.scans,
-            bland_pivots: st.bland_pivots,
-            pricing_par_sections: st.par_sections,
-            pricing_par_steals: st.par_steals,
-            pricing_serial_nanos: st.serial_pricing_nanos,
-            pricing_par_nanos: st.par_pricing_nanos,
-            factor_stats: st.factor.stats(),
-        },
-        used_dual,
-    ))
+    Ok((st.into_outcome(y), used_dual))
 }
 
 fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError {
@@ -455,7 +405,6 @@ impl<'a> State<'a> {
             x,
             nb,
             factor,
-            iterations: 0,
             max_iterations,
             degenerate_run: 0,
             w: Vec::new(),
@@ -473,13 +422,20 @@ impl<'a> State<'a> {
             alpha_stamp: Vec::new(),
             alpha_touched: Vec::new(),
             stamp: 0,
-            scans: 0,
-            bland_pivots: 0,
-            par_sections: 0,
-            par_steals: 0,
-            serial_pricing_nanos: 0,
-            par_pricing_nanos: 0,
+            stats: SessionStats::default(),
         }
+    }
+
+    /// Finish the run with row duals `y`, folding the factorization's
+    /// counters into the run's.
+    fn into_outcome(mut self, y: Vec<f64>) -> Outcome {
+        let fs = self.factor.stats();
+        self.stats.refactors = fs.refactors;
+        self.stats.basis_nnz = fs.basis_nnz;
+        self.stats.factor_nnz = fs.factor_nnz;
+        self.stats.ft_updates = fs.ft_updates;
+        self.stats.pivot_rejections = fs.pivot_rejections;
+        Outcome { x: self.x, y, basis: self.basis, nb: self.nb, stats: self.stats }
     }
 
     /// Shared-slice view for parallel pricing workers.
@@ -497,8 +453,8 @@ impl<'a> State<'a> {
 
     /// Fold one sectioned run's section/steal counters into the solve's.
     fn note_par_stats(&mut self, stats: par::ParStats) {
-        self.par_sections += stats.sections;
-        self.par_steals += stats.steals;
+        self.stats.pricing_par_sections += stats.sections;
+        self.stats.pricing_par_steals += stats.steals;
     }
 
     /// Attribute one pricing call's wall clock to the serial or parallel
@@ -506,9 +462,9 @@ impl<'a> State<'a> {
     fn note_pricing_wall(&mut self, t0: Instant, parallel: bool) {
         let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if parallel {
-            self.par_pricing_nanos += nanos;
+            self.stats.pricing_par_nanos += nanos;
         } else {
-            self.serial_pricing_nanos += nanos;
+            self.stats.pricing_serial_nanos += nanos;
         }
     }
 
@@ -559,8 +515,8 @@ impl<'a> State<'a> {
         // `y` and `d` are maintained incrementally between full reprices.
         self.reprice(cost);
         loop {
-            if self.iterations >= self.max_iterations {
-                return Err(SolveError::IterationLimit { iterations: self.iterations });
+            if self.stats.iterations >= self.max_iterations {
+                return Err(SolveError::IterationLimit { iterations: self.stats.iterations });
             }
             if self.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
@@ -582,7 +538,7 @@ impl<'a> State<'a> {
                 return Ok(()); // optimal for this phase
             };
             if bland {
-                self.bland_pivots += 1;
+                self.stats.bland_pivots += 1;
             }
             // Direction of travel for the entering variable.
             let sigma = match self.nb[j] {
@@ -640,7 +596,7 @@ impl<'a> State<'a> {
                     self.note_step(t);
                 }
             }
-            self.iterations += 1;
+            self.stats.iterations += 1;
         }
     }
 
@@ -698,7 +654,7 @@ impl<'a> State<'a> {
         for f in self.in_cands.iter_mut() {
             *f = false;
         }
-        self.scans += n as u64;
+        self.stats.pricing_scans += n as u64;
         self.fresh = true;
     }
 
@@ -753,7 +709,7 @@ impl<'a> State<'a> {
                 self.alpha_touched.push(a as u32);
             }
         }
-        self.scans += self.alpha_touched.len() as u64;
+        self.stats.pricing_scans += self.alpha_touched.len() as u64;
     }
 
     /// Incremental pricing update for a basis exchange: entering column `q`
@@ -821,7 +777,7 @@ impl<'a> State<'a> {
             if self.pos_of[j] >= 0 || self.p.lb[j] == self.p.ub[j] {
                 continue;
             }
-            self.scans += 1;
+            self.stats.pricing_scans += 1;
             if self.eligible(j) {
                 return Some((j, self.d[j]));
             }
@@ -849,7 +805,7 @@ impl<'a> State<'a> {
         let mut keep = 0;
         for idx in 0..self.candidates.len() {
             let j = self.candidates[idx] as usize;
-            self.scans += 1;
+            self.stats.pricing_scans += 1;
             if self.eligible(j) {
                 self.candidates[keep] = self.candidates[idx];
                 keep += 1;
@@ -887,7 +843,7 @@ impl<'a> State<'a> {
                 }
                 self.cursor = (start + take) % n;
                 scanned += take;
-                self.scans += take as u64;
+                self.stats.pricing_scans += take as u64;
             } else {
                 for _ in 0..section {
                     if scanned >= n {
@@ -899,7 +855,7 @@ impl<'a> State<'a> {
                         self.cursor = 0;
                     }
                     scanned += 1;
-                    self.scans += 1;
+                    self.stats.pricing_scans += 1;
                     if !self.in_cands[j] && self.eligible(j) {
                         self.in_cands[j] = true;
                         self.candidates.push(j as u32);
@@ -1014,8 +970,8 @@ impl<'a> State<'a> {
     ) -> Result<(), SolveError> {
         self.ensure_scratch();
         loop {
-            if self.iterations >= self.max_iterations {
-                return Err(SolveError::IterationLimit { iterations: self.iterations });
+            if self.stats.iterations >= self.max_iterations {
+                return Err(SolveError::IterationLimit { iterations: self.stats.iterations });
             }
             if self.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
@@ -1068,7 +1024,7 @@ impl<'a> State<'a> {
                 if alpha.abs() <= 1e-9 {
                     continue;
                 }
-                self.scans += 1;
+                self.stats.pricing_scans += 1;
                 let sigma = match self.nb[j] {
                     NbState::Lower => 1.0,
                     NbState::Upper => -1.0,
@@ -1125,7 +1081,7 @@ impl<'a> State<'a> {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
             }
             self.note_step(t);
-            self.iterations += 1;
+            self.stats.iterations += 1;
         }
     }
 

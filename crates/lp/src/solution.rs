@@ -2,7 +2,7 @@
 
 use crate::expr::Var;
 use crate::model::RowId;
-use crate::simplex::basis::FactorStats;
+use crate::session::SessionStats;
 use std::fmt;
 
 /// Termination status of a solve.
@@ -61,14 +61,7 @@ pub struct Solution {
     pub(crate) values: Vec<f64>,
     pub(crate) duals: Vec<f64>,
     pub(crate) reduced_costs: Vec<f64>,
-    pub(crate) iterations: u64,
-    pub(crate) pricing_scans: u64,
-    pub(crate) bland_pivots: u64,
-    pub(crate) pricing_par_sections: u64,
-    pub(crate) pricing_par_steals: u64,
-    pub(crate) pricing_serial_nanos: u64,
-    pub(crate) pricing_par_nanos: u64,
-    pub(crate) factor_stats: FactorStats,
+    pub(crate) stats: SessionStats,
 }
 
 impl Solution {
@@ -111,54 +104,11 @@ impl Solution {
         self.reduced_costs[v.index()]
     }
 
-    /// Number of simplex iterations used (phase 1 + phase 2).
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// Columns examined by pricing across the solve: selection scans plus
-    /// the columns touched by incremental pivot-row updates. The work
-    /// measure that partial pricing exists to shrink.
-    pub fn pricing_scans(&self) -> u64 {
-        self.pricing_scans
-    }
-
-    /// Iterations priced under the Bland's-rule anti-cycling fallback.
-    pub fn bland_pivots(&self) -> u64 {
-        self.bland_pivots
-    }
-
-    /// Sections executed by the deterministic parallel-pricing layer.
-    /// Zero when `pricing_jobs <= 1` (the serial path spawns no sections).
-    /// Deterministic for a fixed model and configuration: section counts
-    /// derive from range sizes, never from thread scheduling.
-    pub fn pricing_par_sections(&self) -> u64 {
-        self.pricing_par_sections
-    }
-
-    /// Sections claimed by a worker other than the one whose deque they
-    /// were seeded on. Timing-dependent — a load-balance diagnostic, not a
-    /// deterministic quantity.
-    pub fn pricing_par_steals(&self) -> u64 {
-        self.pricing_par_steals
-    }
-
-    /// Wall-clock nanoseconds spent in pricing invocations that ran the
-    /// serial path.
-    pub fn pricing_serial_nanos(&self) -> u64 {
-        self.pricing_serial_nanos
-    }
-
-    /// Wall-clock nanoseconds spent in pricing invocations that fanned out
-    /// over the worker pool.
-    pub fn pricing_par_nanos(&self) -> u64 {
-        self.pricing_par_nanos
-    }
-
-    /// Basis-factorization counters (refactorizations, fill-in,
-    /// Forrest–Tomlin updates, pivot rejections) accumulated over the
-    /// solve.
-    pub fn factor_stats(&self) -> FactorStats {
-        self.factor_stats
+    /// LP counters of the simplex run behind this solution: iterations,
+    /// pricing work, basis-factorization counters, and any warm fallback
+    /// or numerical retry. The restart-class and session-level fields
+    /// stay zero; a [`crate::SolverSession`] adds those to its own total.
+    pub fn stats(&self) -> SessionStats {
+        self.stats
     }
 }

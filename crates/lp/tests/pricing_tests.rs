@@ -207,7 +207,7 @@ fn bland_trigger_fires_on_degenerate_lp() {
     let sol = SolverSession::new(m.clone()).solve(&bland_only()).expect("solve");
     assert_close(sol.objective(), known, "bland_trigger 0");
     assert!(check_optimal(&m, &sol, 1e-6).is_empty());
-    assert!(sol.bland_pivots() > 0, "Bland fallback never engaged on a degenerate LP");
+    assert!(sol.stats().bland_pivots > 0, "Bland fallback never engaged on a degenerate LP");
     // The default trigger reaches the same optimum without the fallback.
     let sol = SolverSession::new(m.clone()).solve(&SolveOptions::default()).expect("solve");
     assert_close(sol.objective(), known, "default trigger");
@@ -249,7 +249,7 @@ fn parallel_pricing_scores_match_serial_bitwise() {
             sess.solve(&opts).unwrap_or_else(|e| panic!("seed {seed} jobs={jobs}: {e}"))
         };
         let serial = solve(1);
-        assert_eq!(serial.pricing_par_sections(), 0, "serial path spawned sections");
+        assert_eq!(serial.stats().pricing_par_sections, 0, "serial path spawned sections");
         for jobs in [2usize, 8] {
             let par = solve(jobs);
             let tag = format!("seed {seed} jobs={jobs}");
@@ -263,9 +263,9 @@ fn parallel_pricing_scores_match_serial_bitwise() {
                     "{tag}: reduced cost of column {j} diverged"
                 );
             }
-            assert_eq!(serial.iterations(), par.iterations(), "{tag}: iterations");
-            assert_eq!(serial.pricing_scans(), par.pricing_scans(), "{tag}: scans");
-            assert!(par.pricing_par_sections() > 0, "{tag}: fan-out never engaged");
+            assert_eq!(serial.stats().iterations, par.stats().iterations, "{tag}: iterations");
+            assert_eq!(serial.stats().pricing_scans, par.stats().pricing_scans, "{tag}: scans");
+            assert!(par.stats().pricing_par_sections > 0, "{tag}: fan-out never engaged");
         }
     }
 }
@@ -292,9 +292,9 @@ fn partial_pricing_scans_fewer_columns() {
         m.add_row(&format!("r{i}"), e, Cmp::Le, g.range(2.0, 10.0));
     }
     let sol = SolverSession::new(m.clone()).solve(&SolveOptions::default()).unwrap();
-    assert!(sol.iterations() > 0);
+    assert!(sol.stats().iterations > 0);
     assert!(check_optimal(&m, &sol, 1e-6).is_empty());
-    let per_iter = sol.pricing_scans() as f64 / sol.iterations() as f64;
+    let per_iter = sol.stats().pricing_scans as f64 / sol.stats().iterations as f64;
     assert!(
         per_iter < nvars as f64 / 2.0,
         "partial pricing scanned {per_iter:.0} cols/iter on {nvars} columns"
@@ -311,5 +311,9 @@ fn partial_devex_iteration_cap_on_smoke_model() {
     let m = sized_schedule_lp(&mut Gen::new(0xA11CE), 6, 2, 4, 4);
     let sol = SolverSession::new(m.clone()).solve(&SolveOptions::default()).expect("solve");
     assert!(check_optimal(&m, &sol, 1e-6).is_empty());
-    assert!(sol.iterations() <= 250, "{} iterations exceeds regression cap 250", sol.iterations());
+    assert!(
+        sol.stats().iterations <= 250,
+        "{} iterations exceeds regression cap 250",
+        sol.stats().iterations
+    );
 }

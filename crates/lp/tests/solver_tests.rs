@@ -298,7 +298,7 @@ fn empty_model_solves() {
     let m = Model::new(Sense::Maximize);
     let sol = m.solve().unwrap();
     assert_close(sol.objective(), 0.0);
-    assert_eq!(sol.iterations(), 0);
+    assert_eq!(sol.stats().iterations, 0);
 }
 
 #[test]

@@ -4,7 +4,6 @@
 //! Pretium run.
 
 use pretium_core::{Auditor, PoolTelemetry, Telemetry};
-use pretium_lp::SessionStats;
 use std::fmt::Write as _;
 
 /// A named series of `(x, y)` points (one line in a figure).
@@ -85,12 +84,6 @@ pub fn render_telemetry(title: &str, telemetry: &Telemetry, audit: Option<&Audit
 /// wall-clock distribution, steal traffic, and occupancy.
 pub fn render_pool(title: &str, pool: &PoolTelemetry) -> String {
     render_table(title, &pool.rows())
-}
-
-/// Render a run's LP solver counters: solves by restart class, simplex
-/// iterations, pricing-scan work, and Bland's-rule fallback pivots.
-pub fn render_lp(title: &str, stats: &SessionStats) -> String {
-    render_table(title, &stats.rows())
 }
 
 /// Render an ASCII sparkline-style CDF/series plot (terminal friendly).

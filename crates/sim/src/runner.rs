@@ -15,7 +15,7 @@ use crate::par::{run_cells_ok, Cell};
 use crate::scenario::Scenario;
 use pretium_baselines::Outcome;
 use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams, Sequencer};
-use pretium_lp::{SessionStats, SolveError};
+use pretium_lp::SolveError;
 use pretium_net::UsageTracker;
 use std::sync::Arc;
 
@@ -57,9 +57,6 @@ pub struct PretiumRun {
     pub delivery_log: Vec<Vec<(usize, f64)>>,
     /// Request index -> contract index (None when not admitted).
     pub contract_of_request: Vec<Option<usize>>,
-    /// LP restart counters over the whole run (SAM sessions + PC solves):
-    /// how many solves there were and how many reused a previous basis.
-    pub lp_stats: SessionStats,
 }
 
 impl PretiumRun {
@@ -75,10 +72,11 @@ impl PretiumRun {
     }
 
     /// Render the run's telemetry (and audit summary, when available) as a
-    /// report section, followed by the LP solver counters.
+    /// report section, followed by the LP solver counters
+    /// ([`Pretium::lp_stats`]).
     pub fn telemetry_report(&self, title: &str) -> String {
         let mut out = crate::report::render_telemetry(title, self.telemetry(), self.audit());
-        out.push_str(&crate::report::render_lp("lp solver", &self.lp_stats));
+        out.push_str(&crate::report::render_table("lp solver", &self.system.lp_stats().rows()));
         out
     }
 }
@@ -238,8 +236,7 @@ pub fn run_pretium_cold(
     }
     outcome.usage = usage;
     delivery_log.resize(system.contracts().len(), Vec::new());
-    let lp_stats = system.lp_stats();
-    Ok(PretiumRun { outcome, system, delivery_log, contract_of_request, lp_stats })
+    Ok(PretiumRun { outcome, system, delivery_log, contract_of_request })
 }
 
 /// Quote one timestep's arrival batch off a single published snapshot.
@@ -351,7 +348,7 @@ mod tests {
     fn sam_loop_mostly_warm_starts() {
         let sc = small();
         let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
-        let s = run.lp_stats;
+        let s = run.system.lp_stats();
         assert!(s.solves > 0, "{s:?}");
         // SAM re-solves every timestep off a carried session; the bulk of
         // the run's LP solves must reuse a basis rather than start cold.
@@ -361,10 +358,11 @@ mod tests {
     #[test]
     fn full_replay_is_audit_clean() {
         let sc = small();
-        let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
-        // Test builds audit unconditionally; a full replay must sweep every
-        // checkpoint without recording a single invariant violation.
-        let aud = run.audit().expect("auditor active in debug/test builds");
+        let cfg = PretiumConfig { audit: true, ..PretiumConfig::default() };
+        let run = run_pretium(&sc, cfg, Variant::Full).unwrap();
+        // A full replay must sweep every checkpoint without recording a
+        // single invariant violation.
+        let aud = run.audit().expect("auditor active with audit: true");
         assert!(aud.checks() > 0);
         assert!(aud.is_clean(), "violations: {:?}", aud.violations());
         let t = run.telemetry();
@@ -373,6 +371,34 @@ mod tests {
         assert_eq!(t.audit_violations, 0);
         let rendered = run.telemetry_report("telemetry");
         assert!(rendered.contains("audit sweeps"));
+        // Each LP counter is printed once, from the one counter record.
+        for label in ["iterations", "refactors", "pricing scans", "ft updates"] {
+            let n = rendered.lines().filter(|l| l.contains(label)).count();
+            assert_eq!(n, 1, "`{label}` printed {n} times:\n{rendered}");
+        }
+    }
+
+    #[test]
+    fn localized_sam_delivers_what_the_full_resolve_does() {
+        // `IncrementalSam::Exact` must answer SAM steps from certified
+        // frozen-block re-solves, audit clean, and deliver the same volume
+        // as re-solving the full LP every step.
+        use pretium_core::config::IncrementalSam;
+        for seed in [7, 11, 42] {
+            let sc = ScenarioConfig::tiny(seed).build();
+            let run = |incremental_sam| {
+                let cfg =
+                    PretiumConfig { incremental_sam, audit: true, ..PretiumConfig::default() };
+                run_pretium(&sc, cfg, Variant::Full).unwrap()
+            };
+            let (full, local) = (run(IncrementalSam::Off), run(IncrementalSam::Exact));
+            assert!(local.telemetry().sam_localized > 0, "seed {seed}: no SAM step localized");
+            let aud = local.audit().expect("auditor active with audit: true");
+            assert!(aud.is_clean(), "seed {seed}: {:?}", aud.violations());
+            let volume = |r: &PretiumRun| r.outcome.delivered.iter().sum::<f64>();
+            let (a, b) = (volume(&full), volume(&local));
+            assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "seed {seed}: delivered {a} vs {b}");
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn colgen_runs_are_bit_identical_across_job_counts() {
     // full-materialization path under a different flag.
     let sc = ScenarioConfig::tiny(rand::DEFAULT_SEED).build();
     let mk = |ra_jobs: usize| {
-        let cfg = PretiumConfig { ra_jobs, colgen: ColumnGen::on(), ..PretiumConfig::default() };
+        let cfg = PretiumConfig { ra_jobs, colgen: ColumnGen::On, ..PretiumConfig::default() };
         run_pretium(&sc, cfg, Variant::Full).expect("colgen run")
     };
     let one = mk(1);
@@ -133,13 +133,11 @@ fn colgen_runs_are_bit_identical_across_job_counts() {
     );
     assert_eq!(bits(&one.outcome.payments), bits(&eight.outcome.payments));
     assert_eq!(one.outcome.admitted, eight.outcome.admitted);
-    assert_eq!(one.lp_stats, eight.lp_stats, "LP restart counters diverged");
+    assert_eq!(one.system.lp_stats(), eight.system.lp_stats(), "LP restart counters diverged");
     assert!(
-        one.telemetry().lp_columns_generated > 0,
+        one.system.lp_stats().columns_generated > 0,
         "restricted master never priced a column in the tiny scenario"
     );
-    assert_eq!(one.telemetry().lp_columns_generated, eight.telemetry().lp_columns_generated);
-    assert_eq!(one.telemetry().lp_colgen_rounds, eight.telemetry().lp_colgen_rounds);
 }
 
 #[test]
@@ -164,8 +162,7 @@ fn parallel_pricing_is_bit_identical_across_job_counts() {
     wide.requests.max_window = 12;
     let sc = wide.build();
     let mk = |pricing_jobs: usize| {
-        let cfg =
-            PretiumConfig { pricing_jobs, colgen: ColumnGen::on(), ..PretiumConfig::default() };
+        let cfg = PretiumConfig { pricing_jobs, colgen: ColumnGen::On, ..PretiumConfig::default() };
         run_pretium(&sc, cfg, Variant::Full).expect("parallel-pricing run")
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -186,15 +183,19 @@ fn parallel_pricing_is_bit_identical_across_job_counts() {
     // wall-clock fields) must agree between the two *parallel* runs: both
     // split identical ranges into identical sections. The serial run
     // spawns no sections, so it is compared on outputs above, not here.
-    assert_eq!(two.lp_stats, eight.lp_stats, "LP counters diverged between parallel job counts");
+    assert_eq!(
+        two.system.lp_stats(),
+        eight.system.lp_stats(),
+        "LP counters diverged between parallel job counts"
+    );
     // The parallel layer must have actually run — sections prove the
     // fan-out happened, or this test pins the serial path three times.
     assert!(
-        two.lp_stats.pricing_par_sections > 0,
+        two.system.lp_stats().pricing_par_sections > 0,
         "pricing_jobs=2 never fanned out: {:?}",
-        two.lp_stats
+        two.system.lp_stats()
     );
-    assert_eq!(one.lp_stats.pricing_par_sections, 0, "serial run spawned sections");
+    assert_eq!(one.system.lp_stats().pricing_par_sections, 0, "serial run spawned sections");
 }
 
 #[test]
@@ -215,12 +216,8 @@ fn sparse_lu_cadence_is_deterministic_and_tolerance_bounded() {
     const CADENCE_TOL: f64 = 1e-6;
     let sc = ScenarioConfig::tiny(rand::DEFAULT_SEED).build();
     let mk = |ra_jobs: usize, max_etas: usize| {
-        let cfg = PretiumConfig {
-            ra_jobs,
-            max_etas,
-            colgen: ColumnGen::on(),
-            ..PretiumConfig::default()
-        };
+        let cfg =
+            PretiumConfig { ra_jobs, max_etas, colgen: ColumnGen::On, ..PretiumConfig::default() };
         run_pretium(&sc, cfg, Variant::Full).expect("sparse-lu run")
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -237,14 +234,18 @@ fn sparse_lu_cadence_is_deterministic_and_tolerance_bounded() {
         );
         assert_eq!(bits(&one.outcome.payments), bits(&eight.outcome.payments));
         assert_eq!(one.outcome.admitted, eight.outcome.admitted);
-        assert_eq!(one.lp_stats, eight.lp_stats, "factor counters diverged at {max_etas}");
+        assert_eq!(
+            one.system.lp_stats(),
+            eight.system.lp_stats(),
+            "factor counters diverged at {max_etas}"
+        );
         per_cadence.push((max_etas, one));
     }
 
     // The cadences genuinely differ in kernel behavior (else this test
     // pins three identical runs): tighter cadence ⇒ at least as many
     // refactorizations, and the default accumulates real FT updates.
-    let stats = |i: usize| per_cadence[i].1.lp_stats;
+    let stats = |i: usize| per_cadence[i].1.system.lp_stats();
     assert!(
         stats(0).refactors > stats(2).refactors,
         "max_etas=1 should refactorize more than the default: {:?} vs {:?}",
