@@ -6,7 +6,8 @@
 //! `ADMISSION_SMOKE=1` for the CI smoke mode: tiny scale, few samples,
 //! plus a lenient pooled-vs-serial throughput floor (the pool only
 //! interleaves on a single-core runner, so the floor guards against
-//! pathological overhead, not for speedup).
+//! pathological overhead, not for speedup), and no JSON (a smoke run
+//! never clobbers recorded numbers).
 
 use pretium_bench::{black_box, Harness};
 use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams};
@@ -107,20 +108,6 @@ fn main() {
     println!("BENCH\tadmission_quotes_per_sec_pooled\t{q_pooled:.1}");
     println!("BENCH\tadmission_accepts_per_sec\t{accepts:.1}");
 
-    // Hand-formatted (the workspace builds offline, without serde).
-    let json = format!(
-        "{{\n  \"bench\": \"admission_throughput\",\n  \"scale\": \"{scale}\",\n  \
-         \"load_factor\": 2.0,\n  \"requests\": {n},\n  \"pool_jobs\": {POOL_JOBS},\n  \
-         \"quotes_per_sec_serial\": {q_serial:.1},\n  \
-         \"quotes_per_sec_pooled\": {q_pooled:.1},\n  \
-         \"throughput_ratio\": {ratio:.3},\n  \
-         \"accepts_per_sec\": {accepts:.1},\n  \"cores_available\": {cores}\n}}\n",
-        scale = if smoke { "tiny" } else { "evaluation" },
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission_throughput.json");
-    std::fs::write(path, json).expect("write BENCH_admission_throughput.json");
-    println!("wrote {path}");
-
     if smoke {
         // Pure reads off a shared snapshot must not serialize behind a
         // lock: even an interleaving single-core pool stays within a small
@@ -129,5 +116,20 @@ fn main() {
             ratio >= 0.2,
             "pooled quoting fell to {ratio:.2}x of serial — snapshot reads are contending"
         );
+        println!("admission_throughput smoke: pooled-vs-serial floor holds");
+        return;
     }
+
+    // Hand-formatted (the workspace builds offline, without serde).
+    let json = format!(
+        "{{\n  \"bench\": \"admission_throughput\",\n  \"scale\": \"evaluation\",\n  \
+         \"load_factor\": 2.0,\n  \"requests\": {n},\n  \"pool_jobs\": {POOL_JOBS},\n  \
+         \"quotes_per_sec_serial\": {q_serial:.1},\n  \
+         \"quotes_per_sec_pooled\": {q_pooled:.1},\n  \
+         \"throughput_ratio\": {ratio:.3},\n  \
+         \"accepts_per_sec\": {accepts:.1},\n  \"cores_available\": {cores}\n}}\n"
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission_throughput.json");
+    std::fs::write(path, json).expect("write BENCH_admission_throughput.json");
+    println!("wrote {path}");
 }

@@ -11,9 +11,9 @@
 //! Measured per scenario: refactorization wall-clock (both kernels),
 //! FTRAN/BTRAN wall-clock (both kernels), the Forrest–Tomlin update loop,
 //! and the fill-in ratio `nnz(L+U) / nnz(B)`. A counting global allocator
-//! additionally asserts the PR's scratch-reuse contract: after one
-//! warm-up call, steady-state `ftran`/`btran` perform **zero** heap
-//! allocations.
+//! additionally asserts the scratch-reuse contract: after one warm-up
+//! call, steady-state `ftran`/`btran` and re-factorizing the same basis
+//! perform **zero** heap allocations.
 //!
 //! Set `SPARSE_LU_SMOKE=1` for the CI mode: fewer samples, the
 //! ≥ 1.5× colgen-scale refactor-speedup floor and the zero-allocation
@@ -149,6 +149,13 @@ fn run_scenario(
         })
         .collect();
     let fill_ratio = sparse.factor_nnz() as f64 / nnz as f64;
+    // The samples above warmed the elimination and factor buffers up; a
+    // refactorization of the same basis must now only clear and refill
+    // them.
+    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    sparse.refactor(black_box(&refs)).unwrap();
+    let refactor_allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    assert_eq!(refactor_allocs, 0, "steady-state refactor allocated {refactor_allocs} times");
 
     let mut dense = DenseBumpFactorization::new(m, 0, PIVOT_TOL);
     let mut dense_t: Vec<Duration> = (0..dense_samples)
@@ -304,8 +311,8 @@ fn main() {
 
     if smoke {
         println!(
-            "sparse_lu smoke: zero-allocation, fill, and {MIN_COLGEN_REFACTOR_SPEEDUP}x \
-             colgen refactor floors hold"
+            "sparse_lu smoke: zero-allocation (solves and refactor), fill, and \
+             {MIN_COLGEN_REFACTOR_SPEEDUP}x colgen refactor floors hold"
         );
         return;
     }
@@ -333,8 +340,10 @@ fn main() {
             r.ft_updates_applied,
         )
     };
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"sparse_lu\",\n  \"steady_state_solve_allocations\": 0,\n  \
+        "{{\n  \"bench\": \"sparse_lu\",\n  \"cores\": {cores},\n  \
+         \"steady_state_solve_allocations\": 0,\n  \"steady_state_refactor_allocations\": 0,\n  \
          \"scenarios\": [\n{},\n{}\n  ]\n}}\n",
         cell(&results[0]),
         cell(&results[1]),

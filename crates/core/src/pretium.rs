@@ -585,7 +585,9 @@ impl Pretium {
                     && self.solver_pressure.is_some()
                 {
                     // Degraded compute, not a bug: keep the previous plans
-                    // and reservations (stale but feasible) and move on.
+                    // and reservations (stale but feasible) and move on. An
+                    // exhausted lazy-round cap (`RoundLimit`) is no compute
+                    // fault and propagates.
                     self.telemetry.sam_degradations += 1;
                     self.telemetry.sam.record(t0.elapsed());
                     return Ok(());

@@ -210,6 +210,8 @@ const SHORTFALL_PENALTY_FACTOR: f64 = 1e4;
 const CAP_TOL: f64 = 1e-7;
 /// Usage threshold triggering a lazy cost encoding.
 const USE_TOL: f64 = 1e-7;
+/// Lazy-loop round cap (plus the column-generation rounds); using it up
+/// returns [`SolveError::RoundLimit`].
 const MAX_ROUNDS: u32 = 60;
 /// Near-violation fraction that pre-materializes a capacity row.
 const NEAR_CAP_FRACTION: f64 = 0.85;
@@ -609,7 +611,7 @@ impl ScheduleSession {
                 return Ok(self.extract(sol, rounds));
             }
             if rounds >= round_cap {
-                return Err(SolveError::IterationLimit { iterations: rounds as u64 });
+                return Err(SolveError::RoundLimit { rounds });
             }
         }
     }
@@ -777,7 +779,7 @@ impl ScheduleSession {
                 });
             }
             if rounds >= round_cap {
-                return Err(SolveError::IterationLimit { iterations: rounds as u64 });
+                return Err(SolveError::RoundLimit { rounds });
             }
         }
     }

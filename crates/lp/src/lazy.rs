@@ -221,7 +221,7 @@ mod tests {
             }]
         };
         let err = solve_lazy(m, &mut gen, 3).unwrap_err();
-        assert!(matches!(err, SolveError::IterationLimit { .. }));
+        assert_eq!(err, SolveError::RoundLimit { rounds: 3 });
     }
 
     /// Column generation over a hidden column universe: max Σ c_j x_j with

@@ -46,7 +46,7 @@
 use crate::expr::{LinExpr, Var};
 use crate::lazy::{ColGen, ColRequest, GenOutcome, NoGen, RowGen, RowRequest};
 use crate::model::{Cmp, Model, RowId, Sense};
-use crate::simplex::{solve_model_session, Restart, SimplexOptions, WarmBasis};
+use crate::simplex::{solve_model_session, Restart, SimplexOptions, WarmBasis, Workspace};
 use crate::solution::{Solution, SolveError};
 
 /// Default round cap for the generation loops ([`SolverSession::solve_gen`]
@@ -92,7 +92,8 @@ pub struct SolveOptions {
     pub force_cold: bool,
     /// Round cap for [`SolverSession::solve_gen`] /
     /// [`SolverSession::solve_lazy`] / [`SolverSession::solve_colgen`];
-    /// `0` selects [`DEFAULT_MAX_ROUNDS`].
+    /// `0` selects [`DEFAULT_MAX_ROUNDS`]. Using it up returns
+    /// [`SolveError::RoundLimit`].
     pub max_rounds: u32,
     /// Grouped tuning knobs (basis-cache capacity, refactorization cadence,
     /// pricing parallelism); the all-zero default leaves every knob at its
@@ -380,6 +381,10 @@ pub struct SolverSession {
     /// block re-planned — then warm-start their submodel instead of
     /// crashing a fresh basis. Small bounded LRU; misses just solve cold.
     restricted_bases: Vec<(u64, WarmBasis)>,
+    /// Buffers every solve of this session reuses — full solves and
+    /// restricted sub-solves alike. Scratch, not state: a clone starts
+    /// with an empty one.
+    workspace: Workspace,
 }
 
 // The parallel evaluation engine (`pretium-sim::par`) moves one session
@@ -406,6 +411,7 @@ impl SolverSession {
             solved_rows: 0,
             last_solution: None,
             restricted_bases: Vec::new(),
+            workspace: Workspace::default(),
         }
     }
 
@@ -611,7 +617,8 @@ impl SolverSession {
         }
         let simplex = self.effective_simplex(opts);
         let warm = if opts.force_cold { None } else { self.basis.as_ref() };
-        let (solution, basis, restart) = solve_model_session(&self.model, &simplex, warm)?;
+        let (solution, basis, restart) =
+            solve_model_session(&self.model, &simplex, warm, &mut self.workspace)?;
         self.basis = Some(basis);
         self.stats.merge(solution.stats);
         self.stats.count_restart(restart);
@@ -733,7 +740,8 @@ impl SolverSession {
             }
         }
         let warm = self.restricted_bases.iter().find(|(k, _)| *k == key).map(|(_, b)| b);
-        let (sub_sol, sub_basis, _restart) = solve_model_session(&sub, sub.options(), warm)?;
+        let (sub_sol, sub_basis, _restart) =
+            solve_model_session(&sub, sub.options(), warm, &mut self.workspace)?;
         if let Some(slot) = self.restricted_bases.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = sub_basis;
         } else {
@@ -1013,7 +1021,7 @@ impl SolverSession {
                 return Ok(GenOutcome { solution, generated_rows, generated_cols, rounds });
             }
             if rounds >= max_rounds {
-                return Err(SolveError::IterationLimit { iterations: rounds as u64 });
+                return Err(SolveError::RoundLimit { rounds });
             }
             generated_rows.extend(self.add_generated_rows(new_rows));
             generated_cols.extend(self.add_generated_cols(new_cols));
@@ -1402,6 +1410,85 @@ mod tests {
         // Pure row generation reports no columns.
         assert!(out.generated_cols.is_empty());
         assert_eq!(s.stats().columns_generated, 0);
+    }
+
+    /// A transportation LP (`k` sources, `k` sinks) that needs a dozen or
+    /// more pivots from the crash basis.
+    fn transport(k: usize) -> Model {
+        let mut m = Model::new(Sense::Minimize);
+        let x: Vec<Vec<Var>> = (0..k)
+            .map(|i| {
+                (0..k)
+                    .map(|j| {
+                        m.add_nonneg(&format!("x{i}_{j}"), ((i * 7 + j * 3) % 11) as f64 + 1.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        for (i, row) in x.iter().enumerate() {
+            let e = row.iter().fold(LinExpr::new(), |e, &v| e + v);
+            m.add_row(&format!("s{i}"), e, Cmp::Le, 10.0 + i as f64);
+        }
+        for j in 0..k {
+            let e = x.iter().fold(LinExpr::new(), |e, row| e + row[j]);
+            m.add_row(&format!("d{j}"), e, Cmp::Ge, 8.0 + (j % 3) as f64);
+        }
+        m
+    }
+
+    #[test]
+    fn reused_workspace_leaks_no_state() {
+        // Leave a workspace sized for a larger model, with Forrest–Tomlin
+        // updates pending: an iteration limit stops a cold re-solve mid-way.
+        let mut donor = SolverSession::new(transport(8));
+        donor.solve(&SolveOptions::default()).unwrap();
+        let limited = SolveOptions { force_cold: true, ..SolveOptions::with_iteration_limit(6) };
+        let err = donor.solve(&limited).unwrap_err();
+        assert!(matches!(err, SolveError::IterationLimit { .. }), "{err}");
+        assert!(donor.workspace.pending_ft_updates() > 0);
+
+        // The same sequence on a smaller model, in a session that inherits
+        // the donor's workspace and in one that starts every solve from an
+        // empty workspace.
+        let run = |donor: Option<Workspace>| {
+            let reuse = donor.is_some();
+            let mut s = SolverSession::new(transport(5));
+            s.workspace = donor.unwrap_or_default();
+            let solve = |s: &mut SolverSession| {
+                if !reuse {
+                    s.workspace = Workspace::default();
+                }
+                s.solve(&SolveOptions::default()).unwrap()
+            };
+            let mut sols = vec![solve(&mut s)];
+            s.set_rhs(RowId::from_index(0), 3.0);
+            sols.push(solve(&mut s));
+            s.add_row("cut", 1.0 * Var::from_index(6), Cmp::Le, 1.0);
+            sols.push(solve(&mut s));
+            // Re-setting a cost to its own value moves nothing: a warm
+            // primal restart with no pivot skips the final refactorization.
+            let x0 = Var::from_index(0);
+            s.set_obj(x0, s.model().obj_coef(x0));
+            sols.push(solve(&mut s));
+            assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
+            (sols, s.stats())
+        };
+        let (reused, reused_stats) = run(Some(std::mem::take(&mut donor.workspace)));
+        let (fresh, fresh_stats) = run(None);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in reused.iter().zip(&fresh) {
+            assert_eq!(bits(a.values()), bits(b.values()));
+            assert_eq!(bits(a.duals()), bits(b.duals()));
+            assert_eq!(bits(&a.reduced_costs), bits(&b.reduced_costs));
+            assert_eq!(a.stats(), b.stats());
+        }
+        assert_eq!(reused_stats, fresh_stats);
+        // Factor counters are per solve, not the factorization's lifetime
+        // totals: the no-move re-solve refactorized once (its start).
+        assert_eq!(reused[3].stats().iterations, 0);
+        assert_eq!(reused[3].stats().refactors, 1);
+        let per_solve: u64 = reused.iter().map(|s| s.stats().refactors).sum();
+        assert_eq!(reused_stats.refactors, per_solve);
     }
 
     #[test]

@@ -33,6 +33,7 @@ mod ft_update;
 mod markowitz;
 mod sparse;
 
+use super::{clear_for, reset_lists, reset_to};
 use sparse::RowEta;
 
 /// Sparse column: `(row, value)` pairs, rows strictly increasing.
@@ -55,9 +56,10 @@ pub enum FactorError {
     Singular { position: usize },
 }
 
-/// Cumulative factorization work counters of one [`Factorization`]. The
-/// simplex folds them into its run's [`crate::SessionStats`] once per
-/// solve.
+/// Cumulative factorization work counters of one [`Factorization`] over
+/// its lifetime (a reset for the next solve does not clear them). The
+/// simplex folds each solve's delta into that solve's
+/// [`crate::SessionStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FactorStats {
     /// Refactorizations (sparse Markowitz eliminations) performed.
@@ -86,12 +88,16 @@ pub struct FactorStats {
 /// update. Slots map to original rows (`row_of_slot`) and basis positions
 /// (`pos_of_slot`), which is how the external API keeps speaking the
 /// row/position language of the solver.
-#[derive(Debug, Clone)]
+///
+/// `Default` is the empty (`m = 0`) factorization.
+#[derive(Debug, Clone, Default)]
 pub struct Factorization {
     m: usize,
-    /// Columns of unit-lower-triangular `L` by slot: `(slot, multiplier)`
-    /// entries at slots eliminated later. Static between refactors.
-    lcols: Vec<Vec<(u32, f64)>>,
+    /// Columns of unit-lower-triangular `L` by slot, compressed: slot
+    /// `k`'s `(slot, multiplier)` entries at slots eliminated later are
+    /// `lent[lstart[k]..lstart[k + 1]]`. Static between refactors.
+    lstart: Vec<u32>,
+    lent: Vec<(u32, f64)>,
     /// Off-diagonal columns of `U` by slot: `(slot, value)` entries at
     /// slots earlier in the current pivot order.
     ucols: Vec<Vec<(u32, f64)>>,
@@ -134,38 +140,53 @@ pub struct Factorization {
     rowstamp: Vec<u64>,
     stamp: u64,
     stats: FactorStats,
+    /// Markowitz elimination storage, reused by every refactorization.
+    mk: markowitz::Scratch,
 }
 
 impl Factorization {
     /// Create a factorization of the identity for an `m`-row basis.
     /// `max_etas: 0` selects [`DEFAULT_MAX_ETAS`].
     pub fn new(m: usize, max_etas: usize, pivot_tol: f64) -> Self {
-        let iota: Vec<u32> = (0..m as u32).collect();
-        Factorization {
-            m,
-            lcols: vec![Vec::new(); m],
-            ucols: vec![Vec::new(); m],
-            urows: vec![Vec::new(); m],
-            udiag: vec![1.0; m],
-            perm: iota.clone(),
-            ord: iota.clone(),
-            row_of_slot: iota.clone(),
-            slot_of_row: iota.clone(),
-            pos_of_slot: iota.clone(),
-            slot_of_pos: iota,
-            etas: Vec::new(),
-            updates: 0,
-            max_etas: if max_etas == 0 { DEFAULT_MAX_ETAS } else { max_etas },
-            pivot_tol,
-            scratch: vec![0.0; m],
-            z: vec![0.0; m],
-            wz: Vec::new(),
-            spike: Vec::new(),
-            rowbuf: Vec::new(),
-            rowstamp: Vec::new(),
-            stamp: 0,
-            stats: FactorStats::default(),
+        let mut f = Factorization::default();
+        f.reset(m, max_etas, pivot_tol);
+        f
+    }
+
+    /// Turn this factorization into what [`Factorization::new`] with the
+    /// same arguments returns, keeping every buffer's capacity. The
+    /// lifetime [`FactorStats`] keep counting.
+    pub(crate) fn reset(&mut self, m: usize, max_etas: usize, pivot_tol: f64) {
+        self.m = m;
+        reset_to(&mut self.lstart, m + 1, 0);
+        self.lent.clear();
+        for lists in [&mut self.ucols, &mut self.urows] {
+            reset_lists(lists, m);
         }
+        reset_to(&mut self.udiag, m, 1.0);
+        for map in [
+            &mut self.perm,
+            &mut self.ord,
+            &mut self.row_of_slot,
+            &mut self.slot_of_row,
+            &mut self.pos_of_slot,
+            &mut self.slot_of_pos,
+        ] {
+            clear_for(map, m);
+            map.extend(0..m as u32);
+        }
+        self.etas.clear();
+        self.updates = 0;
+        self.max_etas = if max_etas == 0 { DEFAULT_MAX_ETAS } else { max_etas };
+        self.pivot_tol = pivot_tol;
+        for v in [&mut self.scratch, &mut self.z] {
+            reset_to(v, m, 0.0);
+        }
+        self.wz.clear();
+        self.spike.clear();
+        self.rowbuf.clear();
+        self.rowstamp.clear();
+        self.stamp = 0;
     }
 
     /// Number of row etas accumulated since the last refactorization.
@@ -181,7 +202,7 @@ impl Factorization {
     /// Nonzeros currently held in `L` and `U` (diagonal included) — the
     /// fill-in diagnostic for the *current* factors.
     pub fn factor_nnz(&self) -> usize {
-        let l: usize = self.lcols.iter().map(Vec::len).sum();
+        let l = self.lent.len();
         let u: usize = self.ucols.iter().map(Vec::len).sum();
         self.m + l + u
     }
@@ -198,12 +219,27 @@ impl Factorization {
     /// position) by Markowitz elimination. Clears the update file and
     /// resets the pivot order.
     pub fn refactor(&mut self, columns: &[&SparseCol]) -> Result<(), FactorError> {
-        markowitz::refactorize(self, columns)
+        debug_assert_eq!(columns.len(), self.m);
+        self.refactor_with(|j| columns[j].as_slice())
+    }
+
+    /// [`Factorization::refactor`] of the basis whose column at position
+    /// `j` is `column(j)`, without gathering the columns first.
+    pub(crate) fn refactor_with<'c>(
+        &mut self,
+        column: impl Fn(usize) -> &'c [(u32, f64)],
+    ) -> Result<(), FactorError> {
+        markowitz::refactorize(self, column)
+    }
+
+    /// Column `k` of `L` (slot space).
+    fn lcol(&self, k: usize) -> &[(u32, f64)] {
+        &self.lent[self.lstart[k] as usize..self.lstart[k + 1] as usize]
     }
 
     /// Solve `B·w = a` where `a` is a sparse column in original row
     /// coordinates. The result is dense, indexed by basis *position*.
-    pub fn ftran(&mut self, a: &SparseCol, out: &mut Vec<f64>) {
+    pub fn ftran(&mut self, a: &[(u32, f64)], out: &mut Vec<f64>) {
         // Borrow the reusable scratch buffer for the dense scatter; only
         // the entries of `a` are re-zeroed before it is handed back.
         let mut dense = std::mem::take(&mut self.scratch);

@@ -36,7 +36,7 @@ pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) 
     for k in 0..m {
         let zk = z[k];
         if zk != 0.0 {
-            for &(s, l) in &f.lcols[k] {
+            for &(s, l) in f.lcol(k) {
                 z[s as usize] -= l * zk;
             }
         }
@@ -102,7 +102,7 @@ pub(super) fn btran(f: &mut Factorization, c: &[f64], out: &mut Vec<f64>) {
     // Lᵀ backward, dot-product form.
     for k in (0..m).rev() {
         let mut acc = z[k];
-        for &(s, l) in &f.lcols[k] {
+        for &(s, l) in f.lcol(k) {
             acc -= l * z[s as usize];
         }
         z[k] = acc;

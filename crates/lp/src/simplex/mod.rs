@@ -19,7 +19,33 @@ mod solver;
 
 use crate::model::{Cmp, Model, Sense};
 use crate::solution::{Solution, SolveError, Status};
-use basis::SparseCol;
+use basis::Factorization;
+use std::fmt;
+
+/// Clear `v` and make room for exactly `len` elements. A buffer that is
+/// already big enough keeps its capacity; a smaller one grows to `len`,
+/// not to the doubled size amortized growth would give it, so a kept
+/// buffer settles at the largest problem seen rather than up to twice it.
+pub(crate) fn clear_for<T>(v: &mut Vec<T>, len: usize) {
+    v.clear();
+    v.reserve_exact(len);
+}
+
+/// Refill `v` with `len` copies of `fill` (what `vec![fill; len]` holds),
+/// keeping its capacity.
+pub(crate) fn reset_to<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    clear_for(v, len);
+    v.resize(len, fill);
+}
+
+/// Clear `lists` to `len` empty lists, keeping every surviving list's
+/// capacity.
+pub(crate) fn reset_lists<T>(lists: &mut Vec<Vec<T>>, len: usize) {
+    lists.truncate(len);
+    lists.iter_mut().for_each(Vec::clear);
+    lists.reserve_exact(len - lists.len());
+    lists.resize_with(len, Vec::new);
+}
 
 /// Tunable solver parameters.
 ///
@@ -70,6 +96,7 @@ impl Default for SimplexOptions {
 }
 
 /// Standard-form problem fed to the iteration core.
+#[derive(Default)]
 pub(crate) struct Problem {
     /// Number of rows (= equality constraints after slack insertion).
     pub m: usize,
@@ -80,8 +107,11 @@ pub(crate) struct Problem {
     pub slack_start: usize,
     /// Index of the first artificial column.
     pub art_start: usize,
-    /// Sparse columns of `A`.
-    pub cols: Vec<SparseCol>,
+    /// Column `j` of `A` is `entries[start[j]..start[j + 1]]`: its
+    /// `(row, value)` pairs, rows increasing. Slack and artificial columns
+    /// are singletons.
+    start: Vec<u32>,
+    entries: Vec<(u32, f64)>,
     pub lb: Vec<f64>,
     pub ub: Vec<f64>,
     /// Phase-2 costs, already converted to minimization sense.
@@ -90,23 +120,55 @@ pub(crate) struct Problem {
 }
 
 impl Problem {
-    /// Build the standard form from a model.
-    pub fn from_model(model: &Model) -> Self {
+    /// Rebuild the standard form of `model` in place. Every buffer is
+    /// cleared and refilled in the order a fresh build would push, so only
+    /// capacity survives from the previous model.
+    pub fn load(&mut self, model: &Model) {
         let m = model.rows.len();
         let nstruct = model.vars.len();
         let slack_start = nstruct;
         let art_start = nstruct + m;
         let n = nstruct + 2 * m;
+        (self.m, self.n, self.nstruct, self.slack_start, self.art_start) =
+            (m, n, nstruct, slack_start, art_start);
 
-        let mut cols: Vec<SparseCol> = vec![Vec::new(); n];
-        for (i, row) in model.rows.iter().enumerate() {
-            for &(j, coef) in &row.terms {
-                cols[j as usize].push((i as u32, coef));
+        // Compressed columns, filled back to front: `start[j]` first counts
+        // column j's entries, then becomes its end, then walks down to its
+        // start as rows are placed in decreasing order.
+        let (start, entries) = (&mut self.start, &mut self.entries);
+        reset_to(start, n + 1, 0);
+        for row in &model.rows {
+            for &(j, _) in &row.terms {
+                start[j as usize] += 1;
             }
         }
-        let mut lb = Vec::with_capacity(n);
-        let mut ub = Vec::with_capacity(n);
-        let mut cost = vec![0.0; n];
+        start[slack_start..n].fill(1);
+        let mut end = 0;
+        for s in &mut start[..n] {
+            end += *s;
+            *s = end;
+        }
+        start[n] = end;
+        reset_to(entries, end as usize, (0, 0.0));
+        for (i, row) in model.rows.iter().enumerate().rev() {
+            // Slack (row + slack = rhs) and artificial (sign fixed at
+            // crash time by the solver) columns are unit singletons.
+            for j in [art_start + i, slack_start + i] {
+                start[j] -= 1;
+                entries[start[j] as usize] = (i as u32, 1.0);
+            }
+            for &(j, coef) in &row.terms {
+                let s = &mut start[j as usize];
+                *s -= 1;
+                entries[*s as usize] = (i as u32, coef);
+            }
+        }
+
+        let (lb, ub, cost, b) = (&mut self.lb, &mut self.ub, &mut self.cost, &mut self.b);
+        clear_for(lb, n);
+        clear_for(ub, n);
+        reset_to(cost, n, 0.0);
+        clear_for(b, m);
         let sign = match model.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
@@ -116,11 +178,8 @@ impl Problem {
             ub.push(v.ub);
             cost[j] = sign * v.obj;
         }
-        let mut b = Vec::with_capacity(m);
-        for (i, row) in model.rows.iter().enumerate() {
+        for row in &model.rows {
             b.push(row.rhs);
-            // Slack column: row + slack = rhs.
-            cols[slack_start + i].push((i as u32, 1.0));
             let (slb, sub) = match row.cmp {
                 Cmp::Le => (0.0, f64::INFINITY),
                 Cmp::Ge => (f64::NEG_INFINITY, 0.0),
@@ -129,14 +188,56 @@ impl Problem {
             lb.push(slb);
             ub.push(sub);
         }
-        // Artificial columns: sign fixed at crash time by the solver.
-        for i in 0..m {
-            cols[art_start + i].push((i as u32, 1.0));
+        for _ in 0..m {
             lb.push(0.0);
-            ub.push(0.0); // opened to [0, inf) only for rows that need one
+            ub.push(0.0); // artificials open to [0, inf) only for rows that need one
         }
         debug_assert_eq!(lb.len(), n);
-        Problem { m, n, nstruct, slack_start, art_start, cols, lb, ub, cost, b }
+    }
+
+    /// Column `j` of `A`.
+    pub fn col(&self, j: usize) -> &[(u32, f64)] {
+        &self.entries[self.start[j] as usize..self.start[j + 1] as usize]
+    }
+
+    /// Set the sign of artificial column `a`'s single entry.
+    pub fn set_art_sign(&mut self, a: usize, sign: f64) {
+        debug_assert!(a >= self.art_start && a < self.n);
+        self.entries[self.start[a] as usize].1 = sign;
+    }
+}
+
+/// Solve buffers that live as long as their owner — a
+/// [`crate::SolverSession`], or one [`crate::Model::solve`] call — and
+/// are reused by every solve it runs: the standard-form [`Problem`], the
+/// basis [`Factorization`] with its Markowitz storage, and the simplex
+/// pricing scratch. Each solve rebuilds every part before reading it, so
+/// the workspace carries capacity, never state: a clone starts empty.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    problem: Problem,
+    factor: Factorization,
+    scratch: solver::Scratch,
+}
+
+#[cfg(test)]
+impl Workspace {
+    /// Forrest–Tomlin updates stored since the factorization's last
+    /// refactor.
+    pub(crate) fn pending_ft_updates(&self) -> usize {
+        self.factor.eta_count()
+    }
+}
+
+impl Clone for Workspace {
+    fn clone(&self) -> Self {
+        Workspace::default()
+    }
+}
+
+impl fmt::Debug for Workspace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Workspace").finish_non_exhaustive()
     }
 }
 
@@ -224,7 +325,7 @@ fn snapshot(problem: &Problem, outcome: &solver::Outcome) -> WarmBasis {
             } else if j < problem.art_start {
                 BasisKey::Slack((j - problem.slack_start) as u32)
             } else {
-                let neg = problem.cols[j].first().is_some_and(|&(_, v)| v < 0.0);
+                let neg = problem.col(j)[0].1 < 0.0;
                 BasisKey::Art { row: (j - problem.art_start) as u32, neg }
             }
         })
@@ -257,7 +358,7 @@ fn resolve_warm(
             BasisKey::Slack(i) if (i as usize) < m => problem.slack_start + i as usize,
             BasisKey::Art { row, neg } if (row as usize) < m => {
                 let j = problem.art_start + row as usize;
-                problem.cols[j] = vec![(row, if neg { -1.0 } else { 1.0 })];
+                problem.set_art_sign(j, if neg { -1.0 } else { 1.0 });
                 j
             }
             _ => return None,
@@ -282,7 +383,8 @@ fn resolve_warm(
     Some((basis, nb))
 }
 
-/// Solve `model`, optionally warm-starting from a saved basis.
+/// Solve `model`, optionally warm-starting from a saved basis, in the
+/// buffers of `ws`.
 ///
 /// The warm path classifies the restored basis (primal feasible → primal
 /// phase 2; dual feasible → dual simplex + polish) and falls back to a cold
@@ -293,6 +395,7 @@ pub(crate) fn solve_model_session(
     model: &Model,
     options: &SimplexOptions,
     warm: Option<&WarmBasis>,
+    ws: &mut Workspace,
 ) -> Result<(Solution, WarmBasis, Restart), SolveError> {
     // Row-major mirror of the structural matrix. The model's own row
     // storage *is* the mirror — `RowData.terms` holds each row's
@@ -303,14 +406,14 @@ pub(crate) fn solve_model_session(
     let row_terms: Vec<&[(u32, f64)]> = model.rows.iter().map(|r| r.terms.as_slice()).collect();
     let warm_fallbacks = u64::from(warm.is_some());
     if let Some(w) = warm {
-        let mut problem = Problem::from_model(model);
-        if let Some((basis, nb)) = resolve_warm(&mut problem, w) {
+        ws.problem.load(model);
+        if let Some((basis, nb)) = resolve_warm(&mut ws.problem, w) {
             let (rows, vars) = name_fns(model);
             if let Ok((outcome, used_dual)) =
-                solver::run_warm(&mut problem, &row_terms, options, basis, nb, rows, vars)
+                solver::run_warm(ws, &row_terms, options, basis, nb, rows, vars)
             {
-                let solution = finish_solution(model, &problem, &outcome);
-                let basis = snapshot(&problem, &outcome);
+                let solution = finish_solution(model, &ws.problem, &outcome);
+                let basis = snapshot(&ws.problem, &outcome);
                 let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
                 return Ok((solution, basis, restart));
             }
@@ -318,14 +421,13 @@ pub(crate) fn solve_model_session(
         // Fall through to a cold solve: correctness never depends on the
         // warm path succeeding.
     }
-    let attempt = |options: &SimplexOptions| -> Result<(solver::Outcome, Problem), SolveError> {
-        let mut problem = Problem::from_model(model);
+    let mut attempt = |options: &SimplexOptions| -> Result<solver::Outcome, SolveError> {
+        ws.problem.load(model);
         let (rows, vars) = name_fns(model);
-        let out = solver::run(&mut problem, &row_terms, options, rows, vars)?;
-        Ok((out, problem))
+        solver::run(ws, &row_terms, options, rows, vars)
     };
-    let (mut outcome, problem) = match attempt(options) {
-        Ok(s) => s,
+    let mut outcome = match attempt(options) {
+        Ok(out) => out,
         Err(SolveError::Numerical(_)) => {
             let conservative = SimplexOptions {
                 pivot_tol: options.pivot_tol.max(1e-8),
@@ -333,24 +435,24 @@ pub(crate) fn solve_model_session(
                 bland_trigger: 0,
                 ..options.clone()
             };
-            let (mut outcome, problem) = attempt(&conservative)?;
+            let mut outcome = attempt(&conservative)?;
             outcome.stats.numerical_retries = 1;
-            (outcome, problem)
+            outcome
         }
         Err(e) => return Err(e),
     };
     outcome.stats.warm_fallbacks = warm_fallbacks;
-    let solution = finish_solution(model, &problem, &outcome);
-    let basis = snapshot(&problem, &outcome);
+    let solution = finish_solution(model, &ws.problem, &outcome);
+    let basis = snapshot(&ws.problem, &outcome);
     Ok((solution, basis, Restart::Cold))
 }
 
-/// Solve `model` and map the internal result back to the model's sense and
-/// row/variable handles.
+/// Solve `model` once, in a workspace of its own, and map the internal
+/// result back to the model's sense and row/variable handles.
 ///
 /// A numerical failure (singular refactorization after eta-file drift on a
 /// heavily degenerate basis) triggers one conservative retry: larger pivot
 /// tolerance, more frequent refactorization, and Bland's rule throughout.
 pub(crate) fn solve_model(model: &Model, options: &SimplexOptions) -> Result<Solution, SolveError> {
-    solve_model_session(model, options, None).map(|(sol, _, _)| sol)
+    solve_model_session(model, options, None, &mut Workspace::default()).map(|(sol, _, _)| sol)
 }

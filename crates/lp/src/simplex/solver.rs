@@ -6,8 +6,8 @@
 //! phase 2 the true cost vector. Anti-cycling falls back to Bland's rule
 //! after a run of degenerate pivots.
 
-use super::basis::{FactorError, Factorization};
-use super::{Problem, SimplexOptions};
+use super::basis::{FactorError, FactorStats, Factorization};
+use super::{clear_for, Problem, SimplexOptions, Workspace};
 use crate::session::SessionStats;
 use crate::solution::SolveError;
 use pretium_par as par;
@@ -47,7 +47,7 @@ impl Outcome {
     /// Internal reduced cost of column `j`.
     pub fn reduced_cost(&self, p: &Problem, j: usize) -> f64 {
         let mut d = p.cost[j];
-        for &(i, v) in &p.cols[j] {
+        for &(i, v) in p.col(j) {
             d -= self.y[i as usize] * v;
         }
         d
@@ -77,9 +77,36 @@ struct State<'a> {
     /// Current value of every column.
     x: Vec<f64>,
     nb: Vec<NbState>,
-    factor: Factorization,
+    factor: &'a mut Factorization,
+    /// The factorization's lifetime counters when this solve began; the
+    /// solve reports the difference.
+    factor_base: FactorStats,
+    /// Pricing and pivot-row buffers, cleared when the solve begins.
+    s: &'a mut Scratch,
     max_iterations: u64,
     degenerate_run: u32,
+    /// Cyclic column cursor for partial pricing sections.
+    cursor: usize,
+    /// No pivot since the last full reprice: the maintained reduced costs
+    /// are exact, so an empty pricing result is a certified optimum.
+    fresh: bool,
+    /// Stamp for `Scratch::alpha_stamp`.
+    stamp: u64,
+    /// Some column value moved since the last refactorization (a pivot, a
+    /// bound flip, a dual pivot, or the phase-1 artificial snap). When
+    /// false, refactorizing again would rebuild the same LU and the same
+    /// basic values bit for bit.
+    moved: bool,
+    /// Counters of this run; the factorization's are folded in by
+    /// [`State::finish`].
+    stats: SessionStats,
+}
+
+/// Buffers of the iteration core that outlive one solve. [`State::new`]
+/// empties every one, so a solve sees exactly what fresh vectors would
+/// hold; only their capacity carries over.
+#[derive(Default)]
+pub(crate) struct Scratch {
     w: Vec<f64>,
     y: Vec<f64>,
     // --- incremental pricing state ----------------------------------------
@@ -92,11 +119,6 @@ struct State<'a> {
     candidates: Vec<u32>,
     /// Membership flags for `candidates`.
     in_cands: Vec<bool>,
-    /// Cyclic column cursor for partial pricing sections.
-    cursor: usize,
-    /// No pivot since the last full reprice: the maintained reduced costs
-    /// are exact, so an empty pricing result is a certified optimum.
-    fresh: bool,
     // --- scratch buffers reused across iterations -------------------------
     /// Basic cost vector for BTRAN (hoisted out of the iteration loop).
     cb: Vec<f64>,
@@ -109,10 +131,41 @@ struct State<'a> {
     alpha: Vec<f64>,
     alpha_stamp: Vec<u64>,
     alpha_touched: Vec<u32>,
-    stamp: u64,
-    /// Counters of this run; the factorization's are folded in by
-    /// [`State::into_outcome`].
-    stats: SessionStats,
+    /// Refactorization right-hand side `b − N·x_N` and its solve `x_B`.
+    rhs: Vec<f64>,
+    xb: Vec<f64>,
+}
+
+impl Scratch {
+    /// Empty every buffer for an `m`-row, `n`-column problem.
+    fn reset(&mut self, m: usize, n: usize) {
+        let Scratch {
+            w,
+            y,
+            d,
+            gamma,
+            candidates,
+            in_cands,
+            cb,
+            rho,
+            e_r,
+            alpha,
+            alpha_stamp,
+            alpha_touched,
+            rhs,
+            xb,
+        } = self;
+        for v in [w, y, cb, rho, e_r, rhs, xb] {
+            clear_for(v, m);
+        }
+        for v in [d, gamma, alpha] {
+            clear_for(v, n);
+        }
+        clear_for(alpha_stamp, n);
+        clear_for(in_cands, n);
+        clear_for(alpha_touched, n);
+        candidates.clear();
+    }
 }
 
 /// Read-only view of the pricing state, small enough to hand to the
@@ -158,12 +211,13 @@ const CANDS_MIN: usize = 8;
 const CANDS_MAX: usize = 64;
 
 pub(crate) fn run(
-    problem: &mut Problem,
+    ws: &mut Workspace,
     rows: &[RowTerms<'_>],
     opts: &SimplexOptions,
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
 ) -> Result<Outcome, SolveError> {
+    let problem = &mut ws.problem;
     let m = problem.m;
     let n = problem.n;
 
@@ -186,7 +240,7 @@ pub(crate) fn run(
     let mut beta = problem.b.clone();
     for (j, &xj) in x.iter().enumerate().take(problem.nstruct) {
         if xj != 0.0 {
-            for &(i, v) in &problem.cols[j] {
+            for &(i, v) in problem.col(j) {
                 beta[i as usize] -= v * xj;
             }
         }
@@ -203,7 +257,7 @@ pub(crate) fn run(
         } else {
             let a = problem.art_start + i;
             let sign = if beta_i >= 0.0 { 1.0 } else { -1.0 };
-            problem.cols[a] = vec![(i as u32, sign)];
+            problem.set_art_sign(a, sign);
             problem.ub[a] = f64::INFINITY;
             x[a] = beta_i.abs();
             basis.push(a);
@@ -218,8 +272,7 @@ pub(crate) fn run(
         20_000 + 100 * (m as u64 + problem.nstruct as u64)
     };
 
-    let factor = Factorization::new(m, opts.refactor_every, opts.pivot_tol);
-    let mut st = State::new(problem, rows, opts, basis, pos_of, x, nb, factor, max_iterations);
+    let mut st = State::new(ws, rows, opts, basis, pos_of, x, nb, max_iterations);
     st.refactor().map_err(|e| numerical(e, &row_name))?;
 
     // --- phase 1 ----------------------------------------------------------
@@ -237,21 +290,14 @@ pub(crate) fn run(
     // Close all artificials for phase 2 and snap them to zero.
     for j in st.p.art_start..n {
         st.p.ub[j] = 0.0;
+        st.moved |= st.x[j].to_bits() != 0;
         st.x[j] = 0.0;
     }
 
     // --- phase 2 ----------------------------------------------------------
     let phase2_cost = st.p.cost.clone();
     st.iterate(&phase2_cost, false, &var_name, &row_name)?;
-
-    // Final duals from a fresh factorization for accuracy.
-    st.refactor().map_err(|e| numerical(e, &row_name))?;
-    st.cb.clear();
-    st.cb.extend(st.basis.iter().map(|&k| phase2_cost[k]));
-    let mut y = Vec::new();
-    st.factor.btran(&st.cb, &mut y);
-
-    Ok(st.into_outcome(y))
+    st.finish(&phase2_cost, &row_name)
 }
 
 /// Re-optimize from a known basis instead of crashing one.
@@ -277,7 +323,7 @@ pub(crate) fn run(
 ///
 /// Returns the outcome plus whether the dual simplex was needed.
 pub(crate) fn run_warm(
-    problem: &mut Problem,
+    ws: &mut Workspace,
     rows: &[RowTerms<'_>],
     opts: &SimplexOptions,
     basis: Vec<usize>,
@@ -285,6 +331,7 @@ pub(crate) fn run_warm(
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
 ) -> Result<(Outcome, bool), SolveError> {
+    let problem = &ws.problem;
     let m = problem.m;
     let n = problem.n;
     if basis.len() != m || nb.len() != n {
@@ -325,8 +372,7 @@ pub(crate) fn run_warm(
     } else {
         20_000 + 100 * (m as u64 + problem.nstruct as u64)
     };
-    let factor = Factorization::new(m, opts.refactor_every, opts.pivot_tol);
-    let mut st = State::new(problem, rows, opts, basis, pos_of, x, nb, factor, max_iterations);
+    let mut st = State::new(ws, rows, opts, basis, pos_of, x, nb, max_iterations);
     st.refactor().map_err(|e| numerical(e, &row_name))?;
 
     let cost = st.p.cost.clone();
@@ -365,13 +411,7 @@ pub(crate) fn run_warm(
     // otherwise it repairs reduced-cost violations (objective changes, newly
     // added columns, boxed columns released above).
     st.iterate(&cost, false, &var_name, &row_name)?;
-
-    st.refactor().map_err(|e| numerical(e, &row_name))?;
-    st.cb.clear();
-    st.cb.extend(st.basis.iter().map(|&k| cost[k]));
-    let mut y = Vec::new();
-    st.factor.btran(&st.cb, &mut y);
-    Ok((st.into_outcome(y), used_dual))
+    Ok((st.finish(&cost, &row_name)?, used_dual))
 }
 
 fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError {
@@ -384,18 +424,23 @@ fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError 
 }
 
 impl<'a> State<'a> {
+    /// Start a solve in `ws`: reset its factorization for an `m`-row
+    /// basis under `opts` and clear its scratch.
     #[allow(clippy::too_many_arguments)]
     fn new(
-        p: &'a mut Problem,
+        ws: &'a mut Workspace,
         rows: &'a [RowTerms<'a>],
         opts: &'a SimplexOptions,
         basis: Vec<usize>,
         pos_of: Vec<i32>,
         x: Vec<f64>,
         nb: Vec<NbState>,
-        factor: Factorization,
         max_iterations: u64,
     ) -> Self {
+        let Workspace { problem: p, factor, scratch: s } = ws;
+        factor.reset(p.m, opts.refactor_every, opts.pivot_tol);
+        let factor_base = factor.stats();
+        s.reset(p.m, p.n);
         State {
             p,
             rows,
@@ -405,46 +450,51 @@ impl<'a> State<'a> {
             x,
             nb,
             factor,
+            factor_base,
+            s,
             max_iterations,
             degenerate_run: 0,
-            w: Vec::new(),
-            y: Vec::new(),
-            d: Vec::new(),
-            gamma: Vec::new(),
-            candidates: Vec::new(),
-            in_cands: Vec::new(),
             cursor: 0,
             fresh: false,
-            cb: Vec::new(),
-            rho: Vec::new(),
-            e_r: Vec::new(),
-            alpha: Vec::new(),
-            alpha_stamp: Vec::new(),
-            alpha_touched: Vec::new(),
             stamp: 0,
+            moved: false,
             stats: SessionStats::default(),
         }
     }
 
-    /// Finish the run with row duals `y`, folding the factorization's
-    /// counters into the run's.
-    fn into_outcome(mut self, y: Vec<f64>) -> Outcome {
-        let fs = self.factor.stats();
-        self.stats.refactors = fs.refactors;
-        self.stats.basis_nnz = fs.basis_nnz;
-        self.stats.factor_nnz = fs.factor_nnz;
-        self.stats.ft_updates = fs.ft_updates;
-        self.stats.pivot_rejections = fs.pivot_rejections;
-        Outcome { x: self.x, y, basis: self.basis, nb: self.nb, stats: self.stats }
+    /// End the solve: final duals `y = c_B·B⁻¹` under `cost`, with this
+    /// solve's share of the factorization's counters folded into its own.
+    /// The duals come from a fresh factorization for accuracy, unless
+    /// nothing moved since the last one — refactorizing again would then
+    /// rebuild the same LU and basic values bit for bit.
+    fn finish(
+        mut self,
+        cost: &[f64],
+        row_name: &impl Fn(usize) -> String,
+    ) -> Result<Outcome, SolveError> {
+        if self.moved {
+            self.refactor().map_err(|e| numerical(e, row_name))?;
+        }
+        self.s.cb.clear();
+        self.s.cb.extend(self.basis.iter().map(|&k| cost[k]));
+        let mut y = Vec::new();
+        self.factor.btran(&self.s.cb, &mut y);
+        let (fs, base) = (self.factor.stats(), self.factor_base);
+        self.stats.refactors = fs.refactors - base.refactors;
+        self.stats.basis_nnz = fs.basis_nnz - base.basis_nnz;
+        self.stats.factor_nnz = fs.factor_nnz - base.factor_nnz;
+        self.stats.ft_updates = fs.ft_updates - base.ft_updates;
+        self.stats.pivot_rejections = fs.pivot_rejections - base.pivot_rejections;
+        Ok(Outcome { x: self.x, y, basis: self.basis, nb: self.nb, stats: self.stats })
     }
 
     /// Shared-slice view for parallel pricing workers.
     fn view(&self) -> PriceView<'_> {
         PriceView {
-            d: &self.d,
+            d: &self.s.d,
             pos_of: &self.pos_of,
             nb: &self.nb,
-            in_cands: &self.in_cands,
+            in_cands: &self.s.in_cands,
             lb: &self.p.lb,
             ub: &self.p.ub,
             tol: self.opts.opt_tol,
@@ -472,35 +522,34 @@ impl<'a> State<'a> {
     /// dimensions (idempotent; `e_r` keeps its all-zero invariant).
     fn ensure_scratch(&mut self) {
         let (m, n) = (self.p.m, self.p.n);
-        self.e_r.resize(m, 0.0);
-        self.alpha.resize(n, 0.0);
-        self.alpha_stamp.resize(n, 0);
-        self.d.resize(n, 0.0);
-        self.gamma.resize(n, 1.0);
-        self.in_cands.resize(n, false);
+        self.s.e_r.resize(m, 0.0);
+        self.s.alpha.resize(n, 0.0);
+        self.s.alpha_stamp.resize(n, 0);
+        self.s.d.resize(n, 0.0);
+        self.s.gamma.resize(n, 1.0);
+        self.s.in_cands.resize(n, false);
     }
 
     /// Rebuild the LU factorization from the current basis and refresh the
     /// basic variable values from scratch (removes accumulated drift).
     fn refactor(&mut self) -> Result<(), FactorError> {
-        {
-            let cols: Vec<_> = self.basis.iter().map(|&k| &self.p.cols[k]).collect();
-            self.factor.refactor(&cols)?;
-        }
+        let (p, basis) = (&*self.p, &self.basis);
+        self.factor.refactor_with(|k| p.col(basis[k]))?;
         // x_B = B⁻¹ (b - N x_N)
-        let mut r = self.p.b.clone();
+        let r = &mut self.s.rhs;
+        r.clone_from(&self.p.b);
         for j in 0..self.p.n {
             if self.pos_of[j] < 0 && self.x[j] != 0.0 {
-                for &(i, v) in &self.p.cols[j] {
+                for &(i, v) in self.p.col(j) {
                     r[i as usize] -= v * self.x[j];
                 }
             }
         }
-        let mut xb = Vec::new();
-        self.factor.ftran_dense(&r, &mut xb);
+        self.factor.ftran_dense(&self.s.rhs, &mut self.s.xb);
         for (pos, &k) in self.basis.iter().enumerate() {
-            self.x[k] = xb[pos];
+            self.x[k] = self.s.xb[pos];
         }
+        self.moved = false;
         Ok(())
     }
 
@@ -553,8 +602,8 @@ impl<'a> State<'a> {
                 }
             };
             {
-                let (p, factor, w) = (&*self.p, &mut self.factor, &mut self.w);
-                factor.ftran(&p.cols[j], w);
+                let (p, factor, w) = (&*self.p, &mut self.factor, &mut self.s.w);
+                factor.ftran(p.col(j), w);
             }
             match self.ratio_test(j, sigma, bland) {
                 Step::Unbounded => {
@@ -567,6 +616,7 @@ impl<'a> State<'a> {
                 }
                 Step::BoundFlip { t } => {
                     // No basis change: `y` and `d` stay exact as-is.
+                    self.moved = true;
                     self.apply_step(j, sigma, t);
                     self.x[j] = if sigma > 0.0 { self.p.ub[j] } else { self.p.lb[j] };
                     self.nb[j] = if sigma > 0.0 { NbState::Upper } else { NbState::Lower };
@@ -576,6 +626,7 @@ impl<'a> State<'a> {
                     // Needs the pre-pivot factorization, duals, and basis
                     // bookkeeping: must run before any of the updates below.
                     self.pivot_update(j, position);
+                    self.moved = true;
                     self.apply_step(j, sigma, t);
                     let entering_value = self.x[j] + sigma * t;
                     let leaving = self.basis[position];
@@ -587,7 +638,7 @@ impl<'a> State<'a> {
                     self.basis[position] = j;
                     self.pos_of[j] = position as i32;
                     self.x[j] = entering_value;
-                    if !self.factor.update(position, &self.w) {
+                    if !self.factor.update(position, &self.s.w) {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
                         self.refactor().map_err(|e| numerical(e, row_name))?;
@@ -611,10 +662,10 @@ impl<'a> State<'a> {
     /// a section boundary, so the result is bitwise identical.
     fn reprice(&mut self, cost: &[f64]) {
         self.ensure_scratch();
-        self.cb.clear();
-        self.cb.extend(self.basis.iter().map(|&k| cost[k]));
+        self.s.cb.clear();
+        self.s.cb.extend(self.basis.iter().map(|&k| cost[k]));
         {
-            let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
+            let (factor, cb, y) = (&mut self.factor, &self.s.cb, &mut self.s.y);
             factor.btran(cb, y);
         }
         let t0 = Instant::now();
@@ -622,36 +673,36 @@ impl<'a> State<'a> {
         let n = self.p.n;
         let parallel = jobs > 1 && par::section_count(n) > 1;
         if parallel {
-            let (p, y) = (&*self.p, &self.y);
-            let mut stats = par::for_each_section(&mut self.d, jobs, |_, start, chunk| {
+            let (p, y) = (&*self.p, &self.s.y);
+            let mut stats = par::for_each_section(&mut self.s.d, jobs, |_, start, chunk| {
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     let j = start + off;
                     let mut d = cost[j];
-                    for &(i, v) in &p.cols[j] {
+                    for &(i, v) in p.col(j) {
                         d -= y[i as usize] * v;
                     }
                     *slot = d;
                 }
             });
-            stats.merge(par::for_each_section(&mut self.gamma, jobs, |_, _, chunk| {
+            stats.merge(par::for_each_section(&mut self.s.gamma, jobs, |_, _, chunk| {
                 chunk.fill(1.0);
             }));
             self.note_par_stats(stats);
         } else {
             for (j, &cj) in cost.iter().enumerate().take(n) {
                 let mut d = cj;
-                for &(i, v) in &self.p.cols[j] {
-                    d -= self.y[i as usize] * v;
+                for &(i, v) in self.p.col(j) {
+                    d -= self.s.y[i as usize] * v;
                 }
-                self.d[j] = d;
+                self.s.d[j] = d;
             }
-            for g in self.gamma.iter_mut() {
+            for g in self.s.gamma.iter_mut() {
                 *g = 1.0;
             }
         }
         self.note_pricing_wall(t0, parallel);
-        self.candidates.clear();
-        for f in self.in_cands.iter_mut() {
+        self.s.candidates.clear();
+        for f in self.s.in_cands.iter_mut() {
             *f = false;
         }
         self.stats.pricing_scans += n as u64;
@@ -665,7 +716,7 @@ impl<'a> State<'a> {
             return false;
         }
         let tol = self.opts.opt_tol;
-        let d = self.d[j];
+        let d = self.s.d[j];
         match self.nb[j] {
             NbState::Lower => d < -tol,
             NbState::Upper => d > tol,
@@ -682,38 +733,38 @@ impl<'a> State<'a> {
     fn pivot_row_pass(&mut self) {
         self.stamp += 1;
         let stamp = self.stamp;
-        self.alpha_touched.clear();
-        for i in 0..self.rho.len() {
-            let rv = self.rho[i];
+        self.s.alpha_touched.clear();
+        for i in 0..self.s.rho.len() {
+            let rv = self.s.rho[i];
             if rv == 0.0 {
                 continue;
             }
             let row = self.rows[i];
             for &(jc, v) in row {
                 let j = jc as usize;
-                if self.alpha_stamp[j] != stamp {
-                    self.alpha_stamp[j] = stamp;
-                    self.alpha[j] = 0.0;
-                    self.alpha_touched.push(jc);
+                if self.s.alpha_stamp[j] != stamp {
+                    self.s.alpha_stamp[j] = stamp;
+                    self.s.alpha[j] = 0.0;
+                    self.s.alpha_touched.push(jc);
                 }
-                self.alpha[j] += rv * v;
+                self.s.alpha[j] += rv * v;
             }
             let s = self.p.slack_start + i;
-            self.alpha_stamp[s] = stamp;
-            self.alpha[s] = rv;
-            self.alpha_touched.push(s as u32);
+            self.s.alpha_stamp[s] = stamp;
+            self.s.alpha[s] = rv;
+            self.s.alpha_touched.push(s as u32);
             let a = self.p.art_start + i;
-            if let Some(&(_, av)) = self.p.cols[a].first() {
-                self.alpha_stamp[a] = stamp;
-                self.alpha[a] = rv * av;
-                self.alpha_touched.push(a as u32);
+            if let Some(&(_, av)) = self.p.col(a).first() {
+                self.s.alpha_stamp[a] = stamp;
+                self.s.alpha[a] = rv * av;
+                self.s.alpha_touched.push(a as u32);
             }
         }
-        self.stats.pricing_scans += self.alpha_touched.len() as u64;
+        self.stats.pricing_scans += self.s.alpha_touched.len() as u64;
     }
 
     /// Incremental pricing update for a basis exchange: entering column `q`
-    /// (whose FTRAN is already in `self.w`) replaces the basic variable at
+    /// (whose FTRAN is already in `self.s.w`) replaces the basic variable at
     /// `position`. With `rho` the BTRAN'd pivot row and
     /// `theta_d = d_q / alpha_q`:
     ///
@@ -726,47 +777,47 @@ impl<'a> State<'a> {
     /// Must run before the basis bookkeeping and eta update for this pivot.
     fn pivot_update(&mut self, q: usize, position: usize) {
         self.fresh = false;
-        let alpha_q = self.w[position];
+        let alpha_q = self.s.w[position];
         if alpha_q == 0.0 {
             // The eta update will reject this pivot and force a refactor,
             // which reprices from scratch anyway.
             return;
         }
-        let theta_d = self.d[q] / alpha_q;
-        self.e_r[position] = 1.0;
+        let theta_d = self.s.d[q] / alpha_q;
+        self.s.e_r[position] = 1.0;
         {
-            let (factor, e_r, rho) = (&mut self.factor, &self.e_r, &mut self.rho);
+            let (factor, e_r, rho) = (&mut self.factor, &self.s.e_r, &mut self.s.rho);
             factor.btran(e_r, rho);
         }
-        self.e_r[position] = 0.0;
+        self.s.e_r[position] = 0.0;
         self.pivot_row_pass();
-        let gamma_q = self.gamma[q].max(1.0);
+        let gamma_q = self.s.gamma[q].max(1.0);
         let inv_aq = 1.0 / alpha_q;
-        for idx in 0..self.alpha_touched.len() {
-            let j = self.alpha_touched[idx] as usize;
+        for idx in 0..self.s.alpha_touched.len() {
+            let j = self.s.alpha_touched[idx] as usize;
             if self.pos_of[j] >= 0 || j == q {
                 continue;
             }
-            let aj = self.alpha[j];
-            self.d[j] -= theta_d * aj;
+            let aj = self.s.alpha[j];
+            self.s.d[j] -= theta_d * aj;
             let r = aj * inv_aq;
             let cand = r * r * gamma_q;
-            if cand > self.gamma[j] {
-                self.gamma[j] = cand;
+            if cand > self.s.gamma[j] {
+                self.s.gamma[j] = cand;
             }
         }
         if theta_d != 0.0 {
-            for i in 0..self.rho.len() {
-                let rv = self.rho[i];
+            for i in 0..self.s.rho.len() {
+                let rv = self.s.rho[i];
                 if rv != 0.0 {
-                    self.y[i] += theta_d * rv;
+                    self.s.y[i] += theta_d * rv;
                 }
             }
         }
         let leaving = self.basis[position];
-        self.d[leaving] = -theta_d;
-        self.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
-        self.d[q] = 0.0;
+        self.s.d[leaving] = -theta_d;
+        self.s.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
+        self.s.d[q] = 0.0;
     }
 
     /// Bland's anti-cycling rule: the smallest-index eligible column,
@@ -779,7 +830,7 @@ impl<'a> State<'a> {
             }
             self.stats.pricing_scans += 1;
             if self.eligible(j) {
-                return Some((j, self.d[j]));
+                return Some((j, self.s.d[j]));
             }
         }
         None
@@ -803,17 +854,17 @@ impl<'a> State<'a> {
         let t0 = Instant::now();
         // Drop candidates that went basic or lost eligibility.
         let mut keep = 0;
-        for idx in 0..self.candidates.len() {
-            let j = self.candidates[idx] as usize;
+        for idx in 0..self.s.candidates.len() {
+            let j = self.s.candidates[idx] as usize;
             self.stats.pricing_scans += 1;
             if self.eligible(j) {
-                self.candidates[keep] = self.candidates[idx];
+                self.s.candidates[keep] = self.s.candidates[idx];
                 keep += 1;
             } else {
-                self.in_cands[j] = false;
+                self.s.in_cands[j] = false;
             }
         }
-        self.candidates.truncate(keep);
+        self.s.candidates.truncate(keep);
         let n = self.p.n;
         let section = (n / SECTIONS).max(SECTION_MIN).min(n);
         let jobs = self.opts.pricing_jobs;
@@ -838,8 +889,8 @@ impl<'a> State<'a> {
                 };
                 self.note_par_stats(stats);
                 for j in parts.into_iter().flatten() {
-                    self.in_cands[j as usize] = true;
-                    self.candidates.push(j);
+                    self.s.in_cands[j as usize] = true;
+                    self.s.candidates.push(j);
                 }
                 self.cursor = (start + take) % n;
                 scanned += take;
@@ -856,13 +907,13 @@ impl<'a> State<'a> {
                     }
                     scanned += 1;
                     self.stats.pricing_scans += 1;
-                    if !self.in_cands[j] && self.eligible(j) {
-                        self.in_cands[j] = true;
-                        self.candidates.push(j as u32);
+                    if !self.s.in_cands[j] && self.eligible(j) {
+                        self.s.in_cands[j] = true;
+                        self.s.candidates.push(j as u32);
                     }
                 }
             }
-            if self.candidates.len() >= CANDS_MIN {
+            if self.s.candidates.len() >= CANDS_MIN {
                 break;
             }
         }
@@ -871,25 +922,25 @@ impl<'a> State<'a> {
         // pure function of the maintained (d, gamma) state, so the
         // surviving set — and hence the pivot sequence — stays
         // deterministic.
-        if self.candidates.len() > CANDS_MAX {
-            let mut cands = std::mem::take(&mut self.candidates);
+        if self.s.candidates.len() > CANDS_MAX {
+            let mut cands = std::mem::take(&mut self.s.candidates);
             cands.sort_by(|&a, &b| {
                 let (a, b) = (a as usize, b as usize);
-                let sa = self.d[a] * self.d[a] / self.gamma[a];
-                let sb = self.d[b] * self.d[b] / self.gamma[b];
+                let sa = self.s.d[a] * self.s.d[a] / self.s.gamma[a];
+                let sb = self.s.d[b] * self.s.d[b] / self.s.gamma[b];
                 sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
             });
             for &j in &cands[CANDS_MAX..] {
-                self.in_cands[j as usize] = false;
+                self.s.in_cands[j as usize] = false;
             }
             cands.truncate(CANDS_MAX);
-            self.candidates = cands;
+            self.s.candidates = cands;
         }
         let mut best: Option<(usize, f64)> = None; // (j, score)
-        for idx in 0..self.candidates.len() {
-            let j = self.candidates[idx] as usize;
-            let dj = self.d[j];
-            let score = dj * dj / self.gamma[j];
+        for idx in 0..self.s.candidates.len() {
+            let j = self.s.candidates[idx] as usize;
+            let dj = self.s.d[j];
+            let score = dj * dj / self.s.gamma[j];
             let better = match best {
                 None => true,
                 // Insertion order is cyclic, not ascending: break exact
@@ -901,7 +952,7 @@ impl<'a> State<'a> {
             }
         }
         self.note_pricing_wall(t0, parallel);
-        best.map(|(j, _)| (j, self.d[j]))
+        best.map(|(j, _)| (j, self.s.d[j]))
     }
 
     /// Move all basic variables along the FTRAN direction by step `t`.
@@ -910,7 +961,7 @@ impl<'a> State<'a> {
             return;
         }
         for (pos, &k) in self.basis.iter().enumerate() {
-            let wi = self.w[pos];
+            let wi = self.s.w[pos];
             if wi != 0.0 {
                 self.x[k] -= sigma * t * wi;
             }
@@ -929,10 +980,10 @@ impl<'a> State<'a> {
     /// dual feasibility at its current rest value, and return the saved
     /// bounds `(column, lb, ub)` so the caller can restore them.
     fn box_dual_infeasible(&mut self, cost: &[f64]) -> Vec<(usize, f64, f64)> {
-        self.cb.clear();
-        self.cb.extend(self.basis.iter().map(|&k| cost[k]));
+        self.s.cb.clear();
+        self.s.cb.extend(self.basis.iter().map(|&k| cost[k]));
         {
-            let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
+            let (factor, cb, y) = (&mut self.factor, &self.s.cb, &mut self.s.y);
             factor.btran(cb, y);
         }
         let tol = self.opts.opt_tol;
@@ -942,8 +993,8 @@ impl<'a> State<'a> {
                 continue;
             }
             let mut d = cj;
-            for &(i, v) in &self.p.cols[j] {
-                d -= self.y[i as usize] * v;
+            for &(i, v) in self.p.col(j) {
+                d -= self.s.y[i as usize] * v;
             }
             let ok = match self.nb[j] {
                 NbState::Lower => d >= -tol,
@@ -998,18 +1049,18 @@ impl<'a> State<'a> {
             // rho = row r of B⁻¹ (original row coordinates), so that
             // alpha_j = rho · a_j is the pivot row entry of column j; the
             // sparse pivot-row pass materializes exactly the nonzero alphas.
-            self.e_r[r] = 1.0;
+            self.s.e_r[r] = 1.0;
             {
-                let (factor, e_r, rho) = (&mut self.factor, &self.e_r, &mut self.rho);
+                let (factor, e_r, rho) = (&mut self.factor, &self.s.e_r, &mut self.s.rho);
                 factor.btran(e_r, rho);
             }
-            self.e_r[r] = 0.0;
+            self.s.e_r[r] = 0.0;
             self.pivot_row_pass();
             // Current duals for the ratio test.
-            self.cb.clear();
-            self.cb.extend(self.basis.iter().map(|&b| cost[b]));
+            self.s.cb.clear();
+            self.s.cb.extend(self.basis.iter().map(|&b| cost[b]));
             {
-                let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
+                let (factor, cb, y) = (&mut self.factor, &self.s.cb, &mut self.s.y);
                 factor.btran(cb, y);
             }
             let bland = self.degenerate_run > self.opts.bland_trigger;
@@ -1020,7 +1071,7 @@ impl<'a> State<'a> {
                 if self.pos_of[j] >= 0 || self.p.lb[j] == self.p.ub[j] {
                     continue;
                 }
-                let alpha = if self.alpha_stamp[j] == self.stamp { self.alpha[j] } else { 0.0 };
+                let alpha = if self.s.alpha_stamp[j] == self.stamp { self.s.alpha[j] } else { 0.0 };
                 if alpha.abs() <= 1e-9 {
                     continue;
                 }
@@ -1036,8 +1087,8 @@ impl<'a> State<'a> {
                     continue;
                 }
                 let mut d = cj;
-                for &(i, v) in &self.p.cols[j] {
-                    d -= self.y[i as usize] * v;
+                for &(i, v) in self.p.col(j) {
+                    d -= self.s.y[i as usize] * v;
                 }
                 let ratio = d.abs() / alpha.abs();
                 let better = match enter {
@@ -1060,12 +1111,13 @@ impl<'a> State<'a> {
             };
             // Step that lands the leaving variable exactly on its bound.
             let t = ((self.x[k] - bound) / (sigma * alpha)).max(0.0);
+            self.moved = true;
             {
-                let (p, factor, w) = (&*self.p, &mut self.factor, &mut self.w);
-                factor.ftran(&p.cols[q], w);
+                let (p, factor, w) = (&*self.p, &mut self.factor, &mut self.s.w);
+                factor.ftran(p.col(q), w);
             }
             for (pos, &bk) in self.basis.iter().enumerate() {
-                let wi = self.w[pos];
+                let wi = self.s.w[pos];
                 if wi != 0.0 {
                     self.x[bk] -= sigma * t * wi;
                 }
@@ -1077,7 +1129,7 @@ impl<'a> State<'a> {
             self.basis[r] = q;
             self.pos_of[q] = r as i32;
             self.x[q] = entering_value;
-            if !self.factor.update(r, &self.w) {
+            if !self.factor.update(r, &self.s.w) {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
             }
             self.note_step(t);
@@ -1086,14 +1138,14 @@ impl<'a> State<'a> {
     }
 
     /// Bounded-variable ratio test for entering column `j` moving in
-    /// direction `sigma` along `self.w`.
+    /// direction `sigma` along `self.s.w`.
     fn ratio_test(&self, j: usize, sigma: f64, bland: bool) -> Step {
         let p = &self.p;
         // Bound-flip limit for the entering variable itself.
         let own_range = p.ub[j] - p.lb[j];
         let mut t_best = if own_range.is_finite() { own_range } else { f64::INFINITY };
         let mut leave: Option<(usize, bool, f64)> = None; // (position, to_upper, |w|)
-        for (pos, &wi) in self.w.iter().enumerate() {
+        for (pos, &wi) in self.s.w.iter().enumerate() {
             if wi.abs() <= ZTOL {
                 continue;
             }

@@ -26,6 +26,9 @@ pub enum SolveError {
     Unbounded { var: String },
     /// The iteration limit was exceeded before reaching optimality.
     IterationLimit { iterations: u64 },
+    /// A row/column generation loop used up its round cap while an oracle
+    /// still produced rows or columns.
+    RoundLimit { rounds: u32 },
     /// Numerical failure (singular basis that could not be repaired).
     Numerical(String),
 }
@@ -39,6 +42,9 @@ impl fmt::Display for SolveError {
             SolveError::Unbounded { var } => write!(f, "unbounded along variable `{var}`"),
             SolveError::IterationLimit { iterations } => {
                 write!(f, "iteration limit reached after {iterations} iterations")
+            }
+            SolveError::RoundLimit { rounds } => {
+                write!(f, "generation round limit reached after {rounds} rounds")
             }
             SolveError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
         }
